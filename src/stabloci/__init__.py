@@ -12,7 +12,6 @@ from .actions import (
     aut_p112_example,
     jet_group_example,
     jordan_embed_ga,
-    parse_action,
     parse_document,
     serialize_document,
 )

@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveGradingWeight,
     NotNilpotent,
 )
-from .linalg import RatMatrix, Vector, vec
+from .linalg import RatMatrix, Vector, block_diagonal, vec
 from .ratio import format_fraction, parse_fraction
 
 
@@ -54,8 +54,7 @@ class TorusWeights:
 class GradingData:
     """Grading circle weights per coordinate plus a character twist.
 
-    `gm_weights` is kept in coordinate order; `sorted_weights` and
-    `ascending_order` give the sorted view and the permutation back.
+    `gm_weights` is kept in coordinate order.
     """
 
     gm_weights: tuple[int, ...]
@@ -64,13 +63,6 @@ class GradingData:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gm_weights", tuple(int(w) for w in self.gm_weights))
         object.__setattr__(self, "character_twist", Fraction(self.character_twist))
-
-    def sorted_weights(self) -> tuple[int, ...]:
-        return tuple(sorted(self.gm_weights))
-
-    def ascending_order(self) -> tuple[int, ...]:
-        """Coordinate indices ordered by increasing grading weight."""
-        return tuple(sorted(range(len(self.gm_weights)), key=lambda i: (self.gm_weights[i], i)))
 
     def twisted_weights(self) -> tuple[Fraction, ...]:
         chi = self.character_twist
@@ -154,12 +146,7 @@ class WeightedAction:
                 if g.rows != n + 1:
                     raise DimensionMismatch("generator size differs from n+1")
             if self.grading is not None:
-                d = RatMatrix(
-                    [
-                        [Fraction(self.grading.gm_weights[i]) if i == j else Fraction(0) for j in range(n + 1)]
-                        for i in range(n + 1)
-                    ]
-                )
+                d = block_diagonal([RatMatrix([[w]]) for w in self.grading.gm_weights])
                 for g, w in zip(self.unipotent.generators, self.unipotent.grading_weights):
                     if d.commutator(g) != g.scale(Fraction(w)):
                         raise GradingCommutationFailure(
@@ -205,6 +192,14 @@ def _require(mapping: dict, key: str, kind: type, where: str):
     if not isinstance(value, kind):
         raise MalformedDocument(f"key {key!r} in {where} has wrong type")
     return value
+
+
+def parse_point_entry(praw) -> tuple[str, list[Fraction]]:
+    """Name and coordinates of one {"name": ..., "coords": [...]} entry."""
+    if not isinstance(praw, dict):
+        raise MalformedDocument("point entries must be objects")
+    name = _require(praw, "name", str, "point")
+    return name, [parse_fraction(x) for x in _require(praw, "coords", list, "point")]
 
 
 def parse_document(text: str) -> ActionDocument:
@@ -261,10 +256,7 @@ def parse_document(text: str) -> ActionDocument:
 
     points: list[tuple[str, ProjectivePoint]] = []
     for praw in raw.get("points", []):
-        if not isinstance(praw, dict):
-            raise MalformedDocument("point entries must be objects")
-        name = _require(praw, "name", str, "point")
-        coords = [parse_fraction(x) for x in _require(praw, "coords", list, "point")]
+        name, coords = parse_point_entry(praw)
         if len(coords) != n + 1:
             raise DimensionMismatch(f"point {name!r} has {len(coords)} coordinates, expected {n + 1}")
         points.append((name, ProjectivePoint(coords)))
@@ -323,14 +315,10 @@ def serialize_document(doc: ActionDocument) -> str:
     return json.dumps(document_to_dict(doc), sort_keys=True, indent=2) + "\n"
 
 
-def parse_action(text: str) -> WeightedAction:
-    return parse_document(text).action
-
-
 # -- built-in actions --------------------------------------------------
 
 
-def _sym_power_raising(k: int) -> RatMatrix:
+def sym_power_raising(k: int) -> RatMatrix:
     """Matrix of the sl2 raising element on the k-th symmetric power.
 
     Basis v_0..v_k with v_j = e1^(k-j) e2^j; the raising element sends
@@ -356,20 +344,12 @@ def jordan_embed_ga(block_sizes: Sequence[int], chi: Fraction = Fraction(0)) -> 
     weights: list[tuple[int, ...]] = []
     for k in blocks:
         weights.extend((k - 2 * j,) for j in range(k + 1))
-    size = len(weights)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    offset = 0
-    for k in blocks:
-        block = _sym_power_raising(k)
-        for i in range(k + 1):
-            for j in range(k + 1):
-                rows[offset + i][offset + j] = block.entry(i, j)
-        offset += k + 1
+    generator = block_diagonal([sym_power_raising(k) for k in blocks])
     label = "ga_jordan_" + "_".join(str(k) for k in blocks)
     return WeightedAction(
         torus=TorusWeights(rank=1, weights=tuple(weights)),
         grading=GradingData(gm_weights=tuple(w[0] for w in weights), character_twist=chi),
-        unipotent=UnipotentData(generators=(RatMatrix(rows),), grading_weights=(2,)),
+        unipotent=UnipotentData(generators=(generator,), grading_weights=(2,)),
         label=label,
     )
 

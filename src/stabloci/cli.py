@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -24,6 +25,7 @@ from .actions import (
     GradingData,
     ProjectivePoint,
     parse_document,
+    parse_point_entry,
 )
 from .errors import (
     BoundExceeded,
@@ -124,10 +126,15 @@ def _parse_points(text: str, n: int) -> tuple[tuple[str, ProjectivePoint], ...]:
     path = Path(text)
     out = []
     if path.exists():
-        raw = json.loads(path.read_text())
+        try:
+            raw = json.loads(path.read_text())
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ParseError(f"cannot read points file {path}: {exc}") from exc
+        if not isinstance(raw, list):
+            raise ParseError(f"points file {path} must hold a list of point entries")
         for entry in raw:
-            coords = [parse_fraction(c) for c in entry["coords"]]
-            out.append((entry["name"], ProjectivePoint(coords)))
+            name, coords = parse_point_entry(entry)
+            out.append((name, ProjectivePoint(coords)))
     else:
         for chunk in text.split(";"):
             if not chunk.strip():
@@ -393,9 +400,24 @@ def _render_text(payload: dict, elapsed: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite `--chi -1/2` (and `--q`) as `--chi=-1/2`.
+
+    argparse reads a value starting with '-' as an option unless it is a
+    plain negative number such as -2.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--chi", "--q") and re.match(r"-\d", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(argv))
     start = time.perf_counter()
     try:
         payload = _COMMANDS[args.command](args)

@@ -38,9 +38,10 @@ from .errors import (
     TrivialAction,
     UnsupportedUnipotentDimension,
 )
-from .linalg import RatMatrix, Vector, rref_kernel, zero_vec
+from .linalg import RatMatrix, Vector, rref_kernel, solve, zero_vec
 from .poly import (
     MultiPoly,
+    linear_forms,
     poly_gcd_univariate,
     rational_roots_with_multiplicity,
     univariate_coeffs,
@@ -242,8 +243,6 @@ def _solve_affine_linear(conds: list[MultiPoly], num_vars: int) -> Vector | None
                 row[exp.index(1)] = coeff
         rows.append(row)
         rhs.append(-const)
-    from .linalg import solve
-
     return solve(RatMatrix(rows), rhs)
 
 
@@ -469,7 +468,7 @@ def stab_dim_u(u: UnipotentData, x: ProjectivePoint) -> StabDimReport:
     return StabDimReport(point=x, dim=len(kernel), kernel_basis=tuple(kernel))
 
 
-def _poly_matrix_rank(rows: list[list[MultiPoly]]) -> int:
+def _poly_matrix_rank(rows: Sequence[Sequence[MultiPoly]]) -> int:
     """Rank over the rational function field, by fraction-free elimination."""
     rows = [list(r) for r in rows if any(not e.is_zero() for e in r)]
     if not rows:
@@ -509,52 +508,21 @@ def generic_stab_dim(u: UnipotentData, n: int) -> int:
     """
     if u.dim == 0:
         return 0
-    num_vars = n + 1
+    if u.generators[0].rows != n + 1:
+        raise DimensionMismatch("coordinate count differs from the generators")
+    columns = [_span_minors(g) for g in u.generators]
+    return u.dim - _poly_matrix_rank(list(zip(*columns)))
+
+
+def _span_minors(gen: RatMatrix) -> list[MultiPoly]:
+    """The 2x2 minors of (N x | x), one per coordinate pair, in the point x."""
+    num_vars = gen.rows
     xs = [MultiPoly.variable(num_vars, i) for i in range(num_vars)]
-    images = []
-    for g in u.generators:
-        image = []
-        for i in range(num_vars):
-            acc = MultiPoly.zero(num_vars)
-            for j in range(num_vars):
-                c = g.entry(i, j)
-                if c != 0:
-                    acc = acc.add(xs[j].scale(c))
-            image.append(acc)
-        images.append(image)
-    rows = []
-    for i, k in combinations(range(num_vars), 2):
-        rows.append(
-            [im[i].mul(xs[k]).sub(im[k].mul(xs[i])) for im in images]
-        )
-    return u.dim - _poly_matrix_rank(rows)
+    image = linear_forms(gen.entries, range(num_vars))
+    return [image[i].mul(xs[k]).sub(image[k].mul(xs[i])) for i, k in combinations(range(num_vars), 2)]
 
 
 # -- semistability-equals-stability conditions ----------------------------
-
-
-def _kill_matrix_on_block(
-    generators: Sequence[RatMatrix], block: Sequence[int]
-) -> list[list[MultiPoly]]:
-    """Matrix of (c, z) -> sum_j c_j N_j z, entries linear in the block coords.
-
-    Rows are ambient coordinates, columns are generators; variable i of
-    the polynomial ring is the i-th block coordinate of z.
-    """
-    nb = len(block)
-    size = generators[0].rows if generators else 0
-    rows = []
-    for i in range(size):
-        row = []
-        for g in generators:
-            acc = MultiPoly.zero(nb)
-            for b_pos, b in enumerate(block):
-                c = g.entry(i, b)
-                if c != 0:
-                    acc = acc.add(MultiPoly.variable(nb, b_pos).scale(c))
-            row.append(acc)
-        rows.append(row)
-    return rows
 
 
 def _point_on_block(block: Sequence[int], block_coords: Sequence[Fraction], n: int) -> ProjectivePoint:
@@ -562,11 +530,6 @@ def _point_on_block(block: Sequence[int], block_coords: Sequence[Fraction], n: i
     for b, c in zip(block, block_coords):
         coords[b] = Fraction(c)
     return ProjectivePoint(coords)
-
-
-def _restricted_columns(gen: RatMatrix, block: Sequence[int]) -> RatMatrix:
-    """The generator as a map out of the coordinate block (columns kept)."""
-    return RatMatrix([[gen.entry(i, b) for b in block] for i in range(gen.rows)])
 
 
 def _binary_forms_common_zero(
@@ -611,6 +574,83 @@ def _sample_block_points(
     return points
 
 
+def _minimal_locus_report(
+    u: UnipotentData,
+    block: Sequence[int],
+    n: int,
+    target_dim: int,
+    details: dict[str, tuple[str, str]],
+    seed: int,
+    samples: int,
+) -> ConditionReport:
+    """Does every point of the minimal locus have stabiliser dimension `target_dim`?
+
+    On the locus the generators raise the twisted weight, so a Lie
+    combination fixing a point projectively kills it outright and the
+    stabiliser at z is the kernel of c -> sum_j c_j N_j z, a matrix
+    linear in z.  The first branch named in `details` (in its order)
+    that applies decides:
+
+      * "generator": one generator (the target is then 0), its kernel
+        on the block;
+      * "single": a one-coordinate locus, its only point;
+      * "minors": a two-coordinate locus, common zeros of the minors of
+        size u.dim - target_dim;
+      * "sampled": seeded points of the locus, exact per sample.
+
+    `details` maps each branch to its (holds, fails) detail templates,
+    which may use {dim} (stabiliser dimension at the witness) and
+    {detail} (how the minors were decided).
+    """
+    applies = {
+        "generator": u.dim == 1,
+        "single": len(block) == 1,
+        "minors": len(block) == 2,
+        "sampled": True,
+    }
+    branch = next(b for b in details if applies[b])
+    fields: dict = {}
+    witness = None
+    if branch == "generator":
+        kernel = rref_kernel(RatMatrix([[row[b] for b in block] for row in u.generators[0].entries]))
+        holds = not kernel
+        if kernel:
+            witness = _point_on_block(block, kernel[0], n)
+    elif branch == "single":
+        z = _point_on_block(block, [Fraction(1)], n)
+        fields["dim"] = stab_dim_u(u, z).dim
+        holds = fields["dim"] == target_dim
+        if not holds:
+            witness = z
+    elif branch == "minors":
+        columns = [linear_forms(g.entries, block) for g in u.generators]
+        minors = _poly_minors(list(zip(*columns)), u.dim - target_dim)
+        exists, witness_coords, fields["detail"] = _binary_forms_common_zero(minors)
+        holds = not exists
+        if witness_coords:
+            witness = _point_on_block(block, witness_coords, n)
+    else:
+        holds = True
+        for z in _sample_block_points(block, n, seed, samples):
+            dim_z = stab_dim_u(u, z).dim
+            if dim_z != target_dim:
+                holds, witness, fields["dim"] = False, z, dim_z
+                break
+    sampled = branch == "sampled"
+    if holds:
+        verdict = ConditionVerdict.PROBABLY_HOLDS if sampled else ConditionVerdict.HOLDS
+    else:
+        verdict = ConditionVerdict.FAILS
+    return ConditionReport(
+        verdict,
+        exact=not (sampled and holds),
+        witness=witness,
+        detail=details[branch][0 if holds else 1].format(**fields),
+        seed=seed if sampled else None,
+        samples=samples if sampled else 0,
+    )
+
+
 def check_condition_cstar(
     action: WeightedAction, seed: int = 0, samples: int = 12
 ) -> ConditionReport:
@@ -625,56 +665,21 @@ def check_condition_cstar(
     """
     g = _require_grading(action)
     u = action.unipotent
-    n = action.n
     if u is None or u.dim == 0:
         return ConditionReport(ConditionVerdict.HOLDS, exact=True, detail="trivial unipotent group")
-    block = list(min_weight_indices(g))
-    if u.dim == 1:
-        kernel = rref_kernel(_restricted_columns(u.generators[0], block))
-        if kernel:
-            witness = _point_on_block(block, kernel[0], n)
-            return ConditionReport(
-                ConditionVerdict.FAILS, exact=True, witness=witness,
-                detail="the generator kills a minimal-locus vector",
-            )
-        return ConditionReport(ConditionVerdict.HOLDS, exact=True, detail="generator injective on the minimal locus")
-    if len(block) == 1:
-        z = _point_on_block(block, [Fraction(1)], n)
-        columns = [gen.col(block[0]) for gen in u.generators]
-        kernel_dim = len(rref_kernel(RatMatrix([[col[i] for col in columns] for i in range(n + 1)])))
-        if kernel_dim == 0:
-            return ConditionReport(ConditionVerdict.HOLDS, exact=True, detail="full rank at the single minimal coordinate")
-        return ConditionReport(
-            ConditionVerdict.FAILS, exact=True, witness=z,
-            detail="a Lie combination kills the minimal coordinate point",
-        )
-    rows = _kill_matrix_on_block(u.generators, block)
-    if len(block) == 2:
-        minors = _poly_minors(rows, u.dim)
-        exists, witness_coords, detail = _binary_forms_common_zero(minors)
-        if not exists:
-            return ConditionReport(ConditionVerdict.HOLDS, exact=True, detail="minor gcd is constant")
-        witness = _point_on_block(block, witness_coords, n) if witness_coords else None
-        return ConditionReport(
-            ConditionVerdict.FAILS, exact=True, witness=witness,
-            detail=f"rank drops on the minimal locus: {detail}",
-        )
-    for z in _sample_block_points(block, n, seed, samples):
-        report = stab_dim_u(u, z)
-        if report.dim > 0:
-            return ConditionReport(
-                ConditionVerdict.FAILS, exact=True, witness=z,
-                detail="sampled minimal-locus point with nontrivial stabiliser",
-                seed=seed, samples=samples,
-            )
-    return ConditionReport(
-        ConditionVerdict.PROBABLY_HOLDS, exact=False,
-        detail="no stabiliser found at sampled minimal-locus points",
-        seed=seed, samples=samples,
-    )
+    details = {
+        "generator": ("generator injective on the minimal locus", "the generator kills a minimal-locus vector"),
+        "single": ("full rank at the single minimal coordinate", "a Lie combination kills the minimal coordinate point"),
+        "minors": ("minor gcd is constant", "rank drops on the minimal locus: {detail}"),
+        "sampled": (
+            "no stabiliser found at sampled minimal-locus points",
+            "sampled minimal-locus point with nontrivial stabiliser",
+        ),
+    }
+    return _minimal_locus_report(u, min_weight_indices(g), action.n, 0, details, seed, samples)
 
 
-def _poly_minors(rows: list[list[MultiPoly]], size: int) -> list[MultiPoly]:
+def _poly_minors(rows: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
     """All size x size minors of a polynomial matrix."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -713,60 +718,22 @@ def check_condition_cstar_tilde(
     """
     g = _require_grading(action)
     u = action.unipotent
-    n = action.n
     if u is None or u.dim == 0:
         return ConditionReport(ConditionVerdict.HOLDS, exact=True, detail="trivial unipotent group")
-    d_min = generic_stab_dim(u, n)
-    r_star = u.dim - d_min
-    block = list(min_weight_indices(g))
-    detail_prefix = f"generic stabiliser dimension {d_min}"
-    if r_star == 0:
+    d_min = generic_stab_dim(u, action.n)
+    p = f"generic stabiliser dimension {d_min}"
+    if d_min == u.dim:
         return ConditionReport(
             ConditionVerdict.HOLDS, exact=True,
-            detail=f"{detail_prefix}; every stabiliser has the full dimension",
+            detail=f"{p}; every stabiliser has the full dimension",
         )
-    rows = _kill_matrix_on_block(u.generators, block)
-    if len(block) == 1:
-        z = _point_on_block(block, [Fraction(1)], n)
-        dim_z = stab_dim_u(u, z).dim
-        if dim_z == d_min:
-            return ConditionReport(ConditionVerdict.HOLDS, exact=True, detail=f"{detail_prefix}; matched at the single minimal coordinate")
-        return ConditionReport(
-            ConditionVerdict.FAILS, exact=True, witness=z,
-            detail=f"{detail_prefix} but the minimal coordinate point has dimension {dim_z}",
-        )
-    if u.dim == 1:
-        kernel = rref_kernel(_restricted_columns(u.generators[0], block))
-        if not kernel:
-            return ConditionReport(ConditionVerdict.HOLDS, exact=True, detail=f"{detail_prefix}; generator injective on the minimal locus")
-        witness = _point_on_block(block, kernel[0], n)
-        return ConditionReport(
-            ConditionVerdict.FAILS, exact=True, witness=witness,
-            detail=f"{detail_prefix} but a minimal-locus vector is killed",
-        )
-    if len(block) == 2:
-        minors = _poly_minors(rows, r_star)
-        exists, witness_coords, detail = _binary_forms_common_zero(minors)
-        if not exists:
-            return ConditionReport(ConditionVerdict.HOLDS, exact=True, detail=f"{detail_prefix}; rank constant on the minimal locus")
-        witness = _point_on_block(block, witness_coords, n) if witness_coords else None
-        return ConditionReport(
-            ConditionVerdict.FAILS, exact=True, witness=witness,
-            detail=f"{detail_prefix} but the rank drops on the minimal locus: {detail}",
-        )
-    for z in _sample_block_points(block, n, seed, samples):
-        dim_z = stab_dim_u(u, z).dim
-        if dim_z != d_min:
-            return ConditionReport(
-                ConditionVerdict.FAILS, exact=True, witness=z,
-                detail=f"{detail_prefix} but a sampled point has dimension {dim_z}",
-                seed=seed, samples=samples,
-            )
-    return ConditionReport(
-        ConditionVerdict.PROBABLY_HOLDS, exact=False,
-        detail=f"{detail_prefix}; matched at all sampled minimal-locus points",
-        seed=seed, samples=samples,
-    )
+    details = {
+        "single": (f"{p}; matched at the single minimal coordinate", f"{p} but the minimal coordinate point has dimension {{dim}}"),
+        "generator": (f"{p}; generator injective on the minimal locus", f"{p} but a minimal-locus vector is killed"),
+        "minors": (f"{p}; rank constant on the minimal locus", f"{p} but the rank drops on the minimal locus: {{detail}}"),
+        "sampled": (f"{p}; matched at all sampled minimal-locus points", f"{p} but a sampled point has dimension {{dim}}"),
+    }
+    return _minimal_locus_report(u, min_weight_indices(g), action.n, d_min, details, seed, samples)
 
 
 # -- blow-up centre -------------------------------------------------------
@@ -782,7 +749,6 @@ def blowup_centre(action: WeightedAction) -> BlowupCentre:
     """
     g = _require_grading(action)
     u = action.unipotent
-    n = action.n
     if u is None or u.dim == 0:
         return BlowupCentre(max_stab_dim_x0min=0, equations=(), meets_x0min=False, fixed_kernel_basis=())
     if u.dim != 1:
@@ -790,21 +756,7 @@ def blowup_centre(action: WeightedAction) -> BlowupCentre:
             f"exact centre identification requires one generator, got {u.dim}"
         )
     gen = u.generators[0]
-    num_vars = n + 1
-    xs = [MultiPoly.variable(num_vars, i) for i in range(num_vars)]
-    image = []
-    for i in range(num_vars):
-        acc = MultiPoly.zero(num_vars)
-        for j in range(num_vars):
-            c = gen.entry(i, j)
-            if c != 0:
-                acc = acc.add(xs[j].scale(c))
-        image.append(acc)
-    equations = []
-    for i, k in combinations(range(num_vars), 2):
-        minor = image[i].mul(xs[k]).sub(image[k].mul(xs[i]))
-        if not minor.is_zero():
-            equations.append(minor)
+    equations = [minor for minor in _span_minors(gen) if not minor.is_zero()]
     kernel = rref_kernel(gen)
     lowest = set(min_weight_indices(g))
     meets = any(any(v[i] != 0 for i in lowest) for v in kernel)

@@ -6,9 +6,8 @@ points in rank <= 3, where enumeration is both exact and fast.  There
 is no floating-point fallback.
 
 Position of the origin:
-  * membership is Caratheodory enumeration: the origin lies in the hull
-    iff some affinely independent subset carries it with nonnegative
-    barycentric coordinates;
+  * membership is decided through the closest point below: the origin
+    lies in the hull iff the closest point of the hull to it is 0;
   * "interior" means interior relative to the full ambient space, so a
     lower-dimensional hull containing the origin reports Boundary;
   * for full-dimensional hulls, a supporting hyperplane through the
@@ -61,36 +60,8 @@ def _check_points(points: Sequence[Vector]) -> int:
     return dim
 
 
-def _barycentric_for_origin(subset: Sequence[Vector]) -> tuple[Fraction, ...] | None:
-    """Barycentric coordinates of 0 w.r.t. an affinely independent subset.
-
-    Returns None when the subset is affinely dependent or the origin is
-    not in its affine span.
-    """
-    dim = len(subset[0])
-    diffs = [vec_sub(p, subset[0]) for p in subset[1:]]
-    if matrix_rank(diffs) != len(diffs):
-        return None
-    rows = [[p[i] for p in subset] for i in range(dim)]
-    rows.append([Fraction(1)] * len(subset))
-    rhs = [Fraction(0)] * dim + [Fraction(1)]
-    sol = solve(RatMatrix(rows), rhs)
-    if sol is None:
-        return None
-    return sol
-
-
 def origin_in_hull(points: Sequence[Vector]) -> bool:
-    dim = _check_points(points)
-    pts = list(dict.fromkeys(points))
-    if any(is_zero_vec(p) for p in pts):
-        return True
-    for size in range(2, min(len(pts), dim + 1) + 1):
-        for subset in combinations(pts, size):
-            lam = _barycentric_for_origin(subset)
-            if lam is not None and all(x >= 0 for x in lam):
-                return True
-    return False
+    return is_zero_vec(closest_point_to_origin(points))
 
 
 def _has_supporting_hyperplane(points: Sequence[Vector], dim: int) -> bool:

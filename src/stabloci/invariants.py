@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
-from .actions import ProjectivePoint, UnipotentData
+from .actions import ProjectivePoint, UnipotentData, sym_power_raising
 from .errors import DegreeBoundExceeded, DimensionMismatch, ZeroForm
-from .linalg import RatMatrix, Vector, int_kernel, row_space_basis
-from .poly import Exponent, MultiPoly, max_root_multiplicity
+from .linalg import RatMatrix, Vector, block_diagonal, int_kernel, row_space_basis
+from .poly import Exponent, MultiPoly, linear_forms, max_root_multiplicity
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,7 @@ def monomials_of_degree(num_vars: int, degree: int) -> list[Exponent]:
 
 def derivation_images(n_matrix: RatMatrix) -> list[MultiPoly]:
     """Images of the coordinate functions under the induced derivation."""
-    size = n_matrix.rows
-    images = []
-    for i in range(size):
-        acc = MultiPoly.zero(size)
-        for j in range(size):
-            c = n_matrix.entry(i, j)
-            if c != 0:
-                acc = acc.add(MultiPoly.variable(size, j).scale(-c))
-        images.append(acc)
-    return images
+    return linear_forms(n_matrix.scale(-1).entries, range(n_matrix.cols))
 
 
 def apply_derivation(images: Sequence[MultiPoly], p: MultiPoly) -> MultiPoly:
@@ -87,12 +78,19 @@ def derivation_on_degree(n_matrix: RatMatrix, degree: int) -> RatMatrix:
     monos = monomials_of_degree(size, degree)
     index = {m: r for r, m in enumerate(monos)}
     images = derivation_images(n_matrix)
-    rows = [[Fraction(0)] * len(monos) for _ in monos]
-    for c, mono in enumerate(monos):
-        image = apply_derivation(images, MultiPoly.monomial(size, mono))
-        for exp, coeff in image.terms.items():
-            rows[index[exp]][c] = coeff
-    return RatMatrix(rows)
+    columns = [
+        _coefficient_row(apply_derivation(images, MultiPoly.monomial(size, mono)), index)
+        for mono in monos
+    ]
+    return RatMatrix(zip(*columns))
+
+
+def _coefficient_row(p: MultiPoly, index: dict[Exponent, int]) -> list[Fraction]:
+    """Coefficients of p against the monomials numbered by `index`."""
+    row = [Fraction(0)] * len(index)
+    for exp, c in p.terms.items():
+        row[index[exp]] = c
+    return row
 
 
 def _kernel_on_monomials(
@@ -103,29 +101,18 @@ def _kernel_on_monomials(
     Rows are collected over every operator's image monomials; entries
     are cleared to integers rowwise so the fraction-free kernel applies.
     """
-    columns: list[dict[tuple[int, Exponent], Fraction]] = []
-    row_keys: dict[tuple[int, Exponent], int] = {}
+    rows: dict[tuple[int, Exponent], list[Fraction]] = {}
     for c, mono in enumerate(monos):
-        col: dict[tuple[int, Exponent], Fraction] = {}
         p = MultiPoly.monomial(num_vars, mono)
         for op_index, images in enumerate(operator_images):
-            image = apply_derivation(images, p)
-            for exp, coeff in image.terms.items():
-                key = (op_index, exp)
-                if key not in row_keys:
-                    row_keys[key] = len(row_keys)
-                col[key] = coeff
-        columns.append(col)
-    nrows = len(row_keys)
-    rows = [[Fraction(0)] * len(monos) for _ in range(nrows)]
-    for c, col in enumerate(columns):
-        for key, coeff in col.items():
-            rows[row_keys[key]][c] = coeff
+            for exp, coeff in apply_derivation(images, p).terms.items():
+                row = rows.get((op_index, exp))
+                if row is None:
+                    row = rows[(op_index, exp)] = [Fraction(0)] * len(monos)
+                row[c] = coeff
     int_rows = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+    for row in rows.values():
+        denom = lcm(*(x.denominator for x in row))
         int_rows.append([int(x * denom) for x in row])
     return int_kernel(int_rows, len(monos))
 
@@ -192,13 +179,6 @@ def unipotent_invariants(
     )
 
 
-def _sym_raising(k: int) -> RatMatrix:
-    rows = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
-    for j in range(1, k + 1):
-        rows[j - 1][j] = Fraction(j)
-    return RatMatrix(rows)
-
-
 def _sym_lowering(k: int) -> RatMatrix:
     rows = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
     for j in range(k):
@@ -210,13 +190,39 @@ def _coordinate_weights_sym(n: int) -> list[int]:
     return [n - 2 * j for j in range(n + 1)]
 
 
+def _weight_zero(monos: Sequence[Exponent], coordinate_weights: Sequence[int]) -> list[Exponent]:
+    """The monomials of torus weight zero."""
+    return [m for m in monos if sum(e * w for e, w in zip(m, coordinate_weights)) == 0]
+
+
+def _weight_zero_invariants(
+    raising: RatMatrix, lowering: RatMatrix, monos: Sequence[Exponent], num_vars: int
+) -> list[MultiPoly]:
+    """sl2 invariants spanned by weight-zero monomials.
+
+    A weight-zero vector killed by the raising derivation is a highest
+    weight vector of weight zero, so it spans a trivial summand and the
+    lowering derivation kills it too.  The kernel is therefore computed
+    for the raising derivation alone, and every element is then checked
+    against the lowering derivation; the check is an exact assertion,
+    not a heuristic.
+    """
+    kernel = _kernel_on_monomials([derivation_images(raising)], monos, num_vars)
+    basis = _vectors_to_polys(kernel, monos, num_vars)
+    f_images = derivation_images(lowering)
+    for p in basis:
+        if not apply_derivation(f_images, p).is_zero():
+            raise AssertionError("weight-0 raising kernel escaped the lowering kernel")
+    return basis
+
+
 def sl2_invariants_binary_form(
     n: int, d: int, degree_cap: int = 12
 ) -> GradedInvariantSpace:
     """Invariants of degree d in the coefficients of a binary n-form.
 
-    Joint kernel of the raising and lowering derivations intersected
-    with torus weight zero.
+    Kernel of the raising derivation on the torus weight-zero block,
+    checked against the lowering derivation.
     """
     if n < 1:
         raise DimensionMismatch("form degree must be >= 1")
@@ -227,15 +233,8 @@ def sl2_invariants_binary_form(
         return GradedInvariantSpace(
             degree=0, basis=(MultiPoly.const(num_vars, 1),), constraints="constants"
         )
-    images = [derivation_images(_sym_raising(n)), derivation_images(_sym_lowering(n))]
-    fn_weights = [-w for w in _coordinate_weights_sym(n)]
-    monos = [
-        m
-        for m in monomials_of_degree(num_vars, d)
-        if sum(e * fw for e, fw in zip(m, fn_weights)) == 0
-    ]
-    kernel = _kernel_on_monomials(images, monos, num_vars)
-    basis = _vectors_to_polys(kernel, monos, num_vars)
+    monos = _weight_zero(monomials_of_degree(num_vars, d), _coordinate_weights_sym(n))
+    basis = _weight_zero_invariants(sym_power_raising(n), _sym_lowering(n), monos, num_vars)
     return GradedInvariantSpace(
         degree=d,
         basis=tuple(basis),
@@ -250,18 +249,10 @@ def _product_matrices(n: int) -> tuple[RatMatrix, RatMatrix]:
     The plane is the defining 2-dimensional representation plus a
     trivial line; variables are ordered z0, z1, z2, w0..wn.
     """
-    size = 3 + n + 1
-    raising = [[Fraction(0)] * size for _ in range(size)]
-    lowering = [[Fraction(0)] * size for _ in range(size)]
-    raising[0][1] = Fraction(1)
-    lowering[1][0] = Fraction(1)
-    sym_e = _sym_raising(n)
-    sym_f = _sym_lowering(n)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            raising[3 + i][3 + j] = sym_e.entry(i, j)
-            lowering[3 + i][3 + j] = sym_f.entry(i, j)
-    return RatMatrix(raising), RatMatrix(lowering)
+    line = RatMatrix.zero(1, 1)
+    raising = block_diagonal([sym_power_raising(1), line, sym_power_raising(n)])
+    lowering = block_diagonal([_sym_lowering(1), line, _sym_lowering(n)])
+    return raising, lowering
 
 
 def _bidegree_monomials(n: int, a: int, b: int) -> list[Exponent]:
@@ -273,34 +264,17 @@ def _bidegree_monomials(n: int, a: int, b: int) -> list[Exponent]:
 def product_sl2_invariants(
     n: int, a: int, b: int, bidegree_cap: int = 16
 ) -> GradedInvariantSpace:
-    """Invariants of bidegree (a, b) on the plane-times-forms product.
-
-    The kernel of the raising derivation on the weight-zero block is
-    computed first and every element is then checked against the
-    lowering derivation, which must also kill it; the check is an exact
-    assertion, not a heuristic.
-    """
+    """Invariants of bidegree (a, b) on the plane-times-forms product."""
     if a < 0 or b < 0 or a + b > bidegree_cap:
         raise DegreeBoundExceeded(f"bidegree ({a},{b}) outside the cap {bidegree_cap}")
     raising, lowering = _product_matrices(n)
     num_vars = 3 + n + 1
-    fn_weights = [-1, 1, 0] + [-w for w in _coordinate_weights_sym(n)]
-    monos = [
-        m
-        for m in _bidegree_monomials(n, a, b)
-        if sum(e * fw for e, fw in zip(m, fn_weights)) == 0
-    ]
+    monos = _weight_zero(_bidegree_monomials(n, a, b), [1, -1, 0] + _coordinate_weights_sym(n))
     if not monos:
         return GradedInvariantSpace(
             degree=a + b, basis=(), constraints="empty weight-0 block", bidegree=(a, b)
         )
-    e_images = derivation_images(raising)
-    kernel = _kernel_on_monomials([e_images], monos, num_vars)
-    basis = _vectors_to_polys(kernel, monos, num_vars)
-    f_images = derivation_images(lowering)
-    for p in basis:
-        if not apply_derivation(f_images, p).is_zero():
-            raise AssertionError("weight-0 raising kernel escaped the lowering kernel")
+    basis = _weight_zero_invariants(raising, lowering, monos, num_vars)
     return GradedInvariantSpace(
         degree=a + b,
         basis=tuple(basis),
@@ -327,15 +301,9 @@ def restriction_to_slice(space: GradedInvariantSpace, n: int) -> GradedInvariant
         restricted.append(q.restrict_vars(keep))
     monos = monomials_of_degree(n + 1, b)
     index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for q in restricted:
-        row = [Fraction(0)] * len(monos)
-        for exp, c in q.terms.items():
-            row[index[exp]] = c
-        rows.append(row)
-    echelon = row_space_basis(rows)
+    echelon = row_space_basis([_coefficient_row(q, index) for q in restricted])
     basis = _vectors_to_polys(echelon, monos, n + 1)
-    ga_images = derivation_images(_sym_raising(n))
+    ga_images = derivation_images(sym_power_raising(n))
     for q in basis:
         if not apply_derivation(ga_images, q).is_zero():
             raise AssertionError("restricted invariant escaped the additive-group kernel")
@@ -435,11 +403,7 @@ def generator_degree_report(
                 continue
             for p in by_degree[d1].basis:
                 for q in by_degree[d2].basis:
-                    prod = p.mul(q)
-                    row = [Fraction(0)] * len(monos)
-                    for exp, c in prod.terms.items():
-                        row[index[exp]] = c
-                    product_rows.append(row)
+                    product_rows.append(_coefficient_row(p.mul(q), index))
         product_dim = len(row_space_basis(product_rows)) if product_rows else 0
         report.append(
             GeneratorDegreeRow(

@@ -83,17 +83,8 @@ class RatMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(zip(*self.entries)) if self.entries else self
-
-    def add(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(vec_add(a, b) for a, b in zip(self.entries, other.entries))
 
     def sub(self, other: "RatMatrix") -> "RatMatrix":
         return RatMatrix(vec_sub(a, b) for a, b in zip(self.entries, other.entries))
@@ -146,6 +137,18 @@ class RatMatrix:
         return f"RatMatrix({[list(map(str, r)) for r in self.entries]})"
 
 
+def block_diagonal(blocks: Sequence[RatMatrix]) -> RatMatrix:
+    """Square blocks placed along the diagonal, zero elsewhere."""
+    size = sum(b.rows for b in blocks)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b.entries):
+            rows[offset + i][offset : offset + b.rows] = row
+        offset += b.rows
+    return RatMatrix(rows)
+
+
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     rows = [list(r) for r in rows]
@@ -173,20 +176,11 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 def rref_kernel(m: RatMatrix) -> list[Vector]:
     """Basis of {v : m v = 0}, one vector per free column."""
-    if m.rows == 0:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(m.cols)) for j in range(m.cols)]
     reduced, pivots = rref([list(r) for r in m.entries])
-    return kernel_from_rref(reduced, pivots, m.cols)
-
-
-def kernel_from_rref(
-    reduced: list[list[Fraction]], pivots: list[int], ncols: int
-) -> list[Vector]:
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis: list[Vector] = []
-    for f in free:
-        v = [Fraction(0)] * ncols
+    for f in (c for c in range(m.cols) if c not in pivot_set):
+        v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][f]

@@ -190,6 +190,17 @@ class MultiPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def linear_forms(rows: Sequence[Sequence[Fraction]], columns: Sequence[int]) -> list[MultiPoly]:
+    """One linear form per row, sum_k row[columns[k]] * x_k.
+
+    The forms live in len(columns) variables.  For the rows of a matrix
+    N with every column kept, form i is sum_j N[i][j] x_j.
+    """
+    num_vars = len(columns)
+    units = [tuple(int(i == k) for i in range(num_vars)) for k in range(num_vars)]
+    return [MultiPoly(num_vars, {units[k]: row[j] for k, j in enumerate(columns)}) for row in rows]
+
+
 # -- univariate utilities ---------------------------------------------
 
 

@@ -72,14 +72,11 @@ class StratumIndex:
 class Stratification:
     """Indices sorted by increasing |beta|^2, with admissible supports."""
 
-    indices: tuple[StratumIndex, ...]
     assignments: tuple[tuple[StratumIndex, tuple[tuple[int, ...], ...]], ...]
 
-    def supports_of(self, index: StratumIndex) -> tuple[tuple[int, ...], ...]:
-        for idx, supports in self.assignments:
-            if idx == index:
-                return supports
-        raise UnknownIndex(f"{index} is not a stratum index of this action")
+    @property
+    def indices(self) -> tuple[StratumIndex, ...]:
+        return tuple(idx for idx, _ in self.assignments)
 
 
 def _twisted_weights(a: TorusWeights, twist: Sequence[Fraction]) -> list[Vector]:
@@ -154,15 +151,20 @@ def _closest_of_support(
     return memo[key]
 
 
-def stratification_indices(
-    a: TorusWeights, twist: Sequence[Fraction], subset_cap: int = 16
-) -> Stratification:
-    """All stratum indices with their admissible coordinate supports."""
+def _check_subset_cap(a: TorusWeights, subset_cap: int) -> int:
     count = a.n + 1
     if count > subset_cap:
         raise EnumerationBoundExceeded(
             f"{count} weights exceed the subset enumeration cap {subset_cap}"
         )
+    return count
+
+
+def stratification_indices(
+    a: TorusWeights, twist: Sequence[Fraction], subset_cap: int = 16
+) -> Stratification:
+    """All stratum indices with their admissible coordinate supports."""
+    count = _check_subset_cap(a, subset_cap)
     weights = _twisted_weights(a, twist)
     memo: dict = {}
     by_beta: dict[Vector, list[tuple[int, ...]]] = {}
@@ -172,10 +174,11 @@ def stratification_indices(
             beta = _closest_of_support(weights, support, memo)
             by_beta.setdefault(beta, []).append(support)
     strata = sorted(by_beta, key=lambda b: (norm_sq(b), b))
-    assignments = tuple(
-        (StratumIndex.from_beta(beta), tuple(by_beta[beta])) for beta in strata
+    return Stratification(
+        assignments=tuple(
+            (StratumIndex.from_beta(beta), tuple(by_beta[beta])) for beta in strata
+        )
     )
-    return Stratification(indices=tuple(idx for idx, _ in assignments), assignments=assignments)
 
 
 def stratum_of(
@@ -219,22 +222,23 @@ def stratum_quotient_data(
     beta: StratumIndex,
     subset_cap: int = 16,
 ) -> StratumQuotientData:
-    strat = stratification_indices(a, twist, subset_cap)
-    if beta not in strat.indices:
-        raise UnknownIndex(f"{beta} is not a stratum index of this action")
+    _check_subset_cap(a, subset_cap)
+    weights = _twisted_weights(a, twist)
     if beta.is_zero():
         raise UnknownIndex("the zero stratum has no twisted quotient data")
-    weights = _twisted_weights(a, twist)
     nsq = beta.norm_sq
+    if len(beta.beta) != a.rank or nsq != norm_sq(beta.beta):
+        raise UnknownIndex(f"{beta} is not a stratum index of this action")
     pairings = [dot(beta.beta, w) for w in weights]
     z_indices = tuple(i for i, p in enumerate(pairings) if p == nsq)
+    # Level-set characterisation of the indices (Kirwan 1984, Ness 1984):
+    # beta != 0 is the closest point of some weight subset exactly when it
+    # is the closest point to 0 of conv{w : <beta, w> = |beta|^2}.
+    if not z_indices or closest_point_to_origin([weights[i] for i in z_indices]) != beta.beta:
+        raise UnknownIndex(f"{beta} is not a stratum index of this action")
     above = tuple(i for i, p in enumerate(pairings) if p > nsq)
     below = tuple(i for i, p in enumerate(pairings) if p < nsq)
-    above_values = sorted(pairings[i] for i in above)
-    if above_values:
-        delta = (above_values[0] - nsq) / (2 * nsq)
-    else:
-        delta = Fraction(0)
+    delta = (min((pairings[i] for i in above), default=nsq) - nsq) / (2 * nsq)
     adapted = tuple((1 + delta) * b for b in beta.beta)
     return StratumQuotientData(
         index=beta,

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from stabloci.cli import EXIT_BOUNDS, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, run
 from stabloci.corpus import render_corpus
 
@@ -138,3 +140,36 @@ def test_inline_points():
     assert code == EXIT_OK
     payload = json.loads(out)
     assert any(r["point"] == "probe" for r in payload["rows"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--action", corpus_path("torus_line.json"), "--chi", "-1/2"],
+        ["stability", "--action", corpus_path("torus_rank2.json"), "--chi", "-1/2,1"],
+        ["hatstable", "--action", corpus_path("torus_line.json"), "--q", "-1/2"],
+    ],
+)
+def test_negative_fraction_value_takes_either_spelling(argv):
+    code, out = run(argv)
+    assert code == EXIT_OK
+    assert run(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == (code, out)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[{"name": "a"}]',
+        "not json",
+        '{"name": "a", "coords": ["1", "0", "1"]}',
+        '[{"name": "a", "coords": [1, 0, 1]}]',
+        "[" * 100000 + "]" * 100000,
+    ],
+    ids=["no_coords", "not_json", "not_a_list", "numeric_coords", "deeply_nested"],
+)
+def test_malformed_points_file_is_a_parse_error(tmp_path, text):
+    path = tmp_path / "points.json"
+    path.write_text(text)
+    code, out = run(["stability", "--action", corpus_path("torus_line.json"), "--points", str(path)])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ")

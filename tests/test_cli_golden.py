@@ -1,0 +1,75 @@
+"""Byte-for-byte replay of recorded CLI runs over the committed corpus.
+
+`tests/golden/cli/cases.json` lists each recorded run (argv and exit
+code); `<name>.out` holds the exact bytes the CLI printed.  Refactors of
+the library must leave every one of them unchanged.
+
+Regenerate (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from stabloci.cli import run
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden" / "cli"
+CASES = GOLDEN / "cases.json"
+
+
+def _load_cases() -> list[dict]:
+    return json.loads(CASES.read_text())
+
+
+@pytest.mark.parametrize("case", _load_cases(), ids=lambda c: c["name"])
+def test_cli_output_matches_recorded_bytes(case, monkeypatch):
+    monkeypatch.chdir(REPO)  # argv names corpus documents relative to the repo
+    code, out = run(case["argv"])
+    assert code == case["exit"]
+    assert out == (GOLDEN / f"{case['name']}.out").read_text()
+
+
+def _adapted_chi(doc: str) -> str | None:
+    """The well-adapted character of a graded document, or None."""
+    code, out = run(["chamber", "--action", doc])
+    if code != 0:
+        return None
+    window = json.loads(out)["window"]
+    return window["well_adapted"] if window else None
+
+
+def _record_argvs() -> list[tuple[str, list[str]]]:
+    argvs = []
+    for path in sorted((REPO / "corpus").glob("*.json")):
+        doc = f"corpus/{path.name}"
+        stem = path.stem
+        argvs.append((f"stability__{stem}", ["stability", "--action", doc]))
+        argvs.append((f"strata__{stem}", ["strata", "--action", doc]))
+        argvs.append((f"graded__{stem}", ["graded", "--action", doc]))
+        chi = _adapted_chi(str(path))
+        if chi is not None and run(["graded", "--action", doc])[0] != 0:
+            argvs.append((f"graded_adapted__{stem}", ["graded", "--action", doc, f"--chi={chi}"]))
+        argvs.append((f"invariants__{stem}", ["invariants", "--action", doc, "--max-degree", "8"]))
+    for n in (3, 4, 5, 6, 7):
+        argvs.append((f"invariants_sl2__{n}", ["invariants", "--sl2", str(n), "--max-degree", "6"]))
+    return argvs
+
+
+def record() -> None:
+    os.chdir(REPO)
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    cases = []
+    for name, argv in _record_argvs():
+        code, out = run(argv)
+        (GOLDEN / f"{name}.out").write_text(out)
+        cases.append({"name": name, "argv": argv, "exit": code})
+    CASES.write_text(json.dumps(cases, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    record()

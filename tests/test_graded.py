@@ -336,6 +336,84 @@ def test_condition_cstar_tilde_examples():
     assert report2.verdict == ConditionVerdict.HOLDS and report2.exact
 
 
+def _elementary(size, *entries):
+    rows = [[0] * size for _ in range(size)]
+    for i, j, c in entries:
+        rows[i][j] = c
+    return RatMatrix(rows)
+
+
+def _weight_one_action(gm_weights, generators):
+    return WeightedAction(
+        torus=TorusWeights(rank=1, weights=tuple((w,) for w in gm_weights)),
+        grading=GradingData(gm_weights=tuple(gm_weights), character_twist=Fraction(1, 2)),
+        unipotent=UnipotentData(generators=tuple(generators), grading_weights=(1,) * len(generators)),
+    )
+
+
+E = _elementary
+BRANCH_ACTIONS = {
+    # one minimal coordinate, two generators
+    "single": _weight_one_action((0, 1, 2), [E(3, (1, 0, 1)), E(3, (2, 1, 1))]),
+    # two minimal coordinates: decided by the minors
+    "minors_rational": _weight_one_action((0, 0, 1, 1), [E(4, (2, 0, 1)), E(4, (3, 1, 1))]),
+    "minors_irrational": _weight_one_action(
+        (0, 0, 1, 1), [E(4, (2, 0, 1), (3, 1, 1)), E(4, (2, 1, -1), (3, 0, 1))]
+    ),
+    "minors_constant": _weight_one_action(
+        (0, 0, 1, 1, 1), [E(5, (2, 0, 1), (3, 1, 1)), E(5, (2, 1, 1), (4, 0, 1))]
+    ),
+    # three minimal coordinates: sampled
+    "sampled_fails": _weight_one_action(
+        (0, 0, 0, 1, 1, 1), [E(6, (3, 0, 1), (4, 1, 1), (5, 2, 1)), E(6, (3, 1, 1), (4, 2, 1))]
+    ),
+    "sampled_holds": _weight_one_action(
+        (0, 0, 0, 1, 1, 1),
+        [E(6, (3, 0, 1), (4, 1, 1), (5, 2, 1)), E(6, (3, 1, 1), (4, 2, 1), (5, 0, 1))],
+    ),
+}
+P = "generic stabiliser dimension 0"
+
+
+@pytest.mark.parametrize(
+    "name, check, verdict, exact, witness, detail, sampled",
+    [
+        ("single", check_condition_cstar, "fails", True, (1, 0, 0),
+         "a Lie combination kills the minimal coordinate point", False),
+        ("single", check_condition_cstar_tilde, "fails", True, (1, 0, 0),
+         f"{P} but the minimal coordinate point has dimension 1", False),
+        ("minors_rational", check_condition_cstar, "fails", True, (0, 1, 0, 0),
+         "rank drops on the minimal locus: common zero at [0:1]", False),
+        ("minors_rational", check_condition_cstar_tilde, "fails", True, (0, 1, 0, 0),
+         f"{P} but the rank drops on the minimal locus: common zero at [0:1]", False),
+        ("minors_irrational", check_condition_cstar, "fails", True, None,
+         "rank drops on the minimal locus: gcd of degree 2 (irrational zero)", False),
+        ("minors_irrational", check_condition_cstar_tilde, "fails", True, None,
+         f"{P} but the rank drops on the minimal locus: gcd of degree 2 (irrational zero)", False),
+        ("minors_constant", check_condition_cstar, "holds", True, None, "minor gcd is constant", False),
+        ("minors_constant", check_condition_cstar_tilde, "holds", True, None,
+         f"{P}; rank constant on the minimal locus", False),
+        ("sampled_fails", check_condition_cstar, "fails", True, (1, 0, 0, 0, 0, 0),
+         "sampled minimal-locus point with nontrivial stabiliser", True),
+        ("sampled_fails", check_condition_cstar_tilde, "fails", True, (1, 0, 0, 0, 0, 0),
+         f"{P} but a sampled point has dimension 1", True),
+        ("sampled_holds", check_condition_cstar, "probably-holds", False, None,
+         "no stabiliser found at sampled minimal-locus points", True),
+        ("sampled_holds", check_condition_cstar_tilde, "probably-holds", False, None,
+         f"{P}; matched at all sampled minimal-locus points", True),
+    ],
+)
+def test_condition_reports_on_every_branch(name, check, verdict, exact, witness, detail, sampled):
+    report = check(BRANCH_ACTIONS[name], seed=3)
+    assert report.verdict == ConditionVerdict(verdict)
+    assert report.exact is exact
+    assert (report.witness.coords if report.witness else None) == (
+        tuple(Fraction(c) for c in witness) if witness else None
+    )
+    assert report.detail == detail
+    assert (report.seed, report.samples) == ((3, 12) if sampled else (None, 0))
+
+
 def test_blowup_centre_cubics():
     centre = blowup_centre(CUBICS_ADAPTED)
     # fixed locus misses the attracting set, so the maximum there is 0

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import certify_closest_point, oracle_hull_position
-from stabloci.hull import HullPosition, closest_point_to_origin, hull_origin_position
+from oracles import certify_closest_point, oracle_hull_position, oracle_in_hull
+from stabloci.hull import HullPosition, closest_point_to_origin, hull_origin_position, origin_in_hull
 from stabloci.linalg import dot, norm_sq, vec, vec_sub
 
 
@@ -86,6 +88,19 @@ def test_membership_consistent_with_closest_point():
         ]
         inside = hull_origin_position(points) != HullPosition.OUTSIDE
         assert inside == (norm_sq(closest_point_to_origin(points)) == 0)
+
+
+@st.composite
+def _point_sets(draw):
+    rank = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    return draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_point_sets())
+def test_membership_matches_caratheodory_oracle(points):
+    assert origin_in_hull(points) == oracle_in_hull(points)
 
 
 def test_empty_input_rejected():

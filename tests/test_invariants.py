@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabloci.actions import ProjectivePoint, UnipotentData, jordan_embed_ga
+from stabloci.actions import ProjectivePoint, UnipotentData, jordan_embed_ga, sym_power_raising
 from stabloci.errors import DegreeBoundExceeded, DimensionMismatch
 from stabloci.invariants import (
     apply_derivation,
@@ -21,7 +21,7 @@ from stabloci.invariants import (
     sl2_weight_counting_dimension,
     unipotent_invariants,
 )
-from stabloci.linalg import RatMatrix, matrix_rank
+from stabloci.linalg import RatMatrix, matrix_rank, rref_kernel
 from stabloci.poly import MultiPoly
 from stabloci.torus import Status, torus_verdict
 
@@ -251,6 +251,25 @@ def test_nonvanishing_consistent_with_borderline_torus_verdict():
                     chi = Fraction(w, space.degree)
                     verdict = torus_verdict(CUBICS.torus, (chi,), x)
                     assert verdict.status != Status.UNSTABLE
+
+
+def test_sl2_basis_is_the_joint_raising_lowering_kernel():
+    """The weight-0 raising kernel equals the joint kernel, vector for vector."""
+    for n in range(1, 6):
+        lowering = RatMatrix([[n - j if i == j + 1 else 0 for j in range(n + 1)] for i in range(n + 1)])
+        for d in range(1, 6):
+            monos = monomials_of_degree(n + 1, d)
+            keep = [c for c, m in enumerate(monos) if sum(e * (n - 2 * j) for j, e in enumerate(m)) == 0]
+            rows = [
+                [row[c] for c in keep]
+                for op in (sym_power_raising(n), lowering)
+                for row in derivation_on_degree(op, d).entries
+            ]
+            joint = rref_kernel(RatMatrix(rows)) if keep else []
+            expected = tuple(
+                MultiPoly(n + 1, {monos[c]: x for c, x in zip(keep, v)}) for v in joint
+            )
+            assert sl2_invariants_binary_form(n, d).basis == expected, (n, d)
 
 
 def test_sl2_quartic_triple_root_all_invariants_vanish():

@@ -5,12 +5,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import certify_closest_point
 from stabloci.actions import GradingData, ProjectivePoint, TorusWeights
 from stabloci.errors import EnumerationBoundExceeded, UnknownIndex
-from stabloci.hull import HullPosition
-from stabloci.linalg import vec, zero_vec
+from stabloci.hull import HullPosition, closest_point_to_origin
+from stabloci.linalg import dot, norm_sq, vec, vec_add, vec_sub, zero_vec
 from stabloci.torus import (
     Chamber,
     Status,
@@ -225,3 +227,54 @@ def test_stratification_matches_per_subset_oracle_and_closure():
             for size in range(1, len(support)):
                 for sub in combinations(support, size):
                     assert support_norm[sub] >= nsq
+
+
+_small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _torus_with_candidates(draw):
+    """A small torus, a twist, and candidate indices, some of them bogus."""
+    rank = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 7))
+    weights = tuple(
+        tuple(draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(count)
+    )
+    twist = draw(st.one_of(st.just(zero_vec(rank)), st.tuples(*[_small_fraction] * rank)))
+    twisted = [vec_sub(vec(w), twist) for w in weights]
+    candidates = [vec([0] * rank), vec([1] * (rank + 1))]
+    for _ in range(draw(st.integers(1, 4))):
+        subset = draw(st.sets(st.integers(0, count - 1), min_size=1))
+        beta = closest_point_to_origin([twisted[i] for i in sorted(subset)])
+        candidates.append(beta)
+        shift = draw(st.tuples(*[_small_fraction] * rank))
+        candidates.append(vec_add(beta, shift))
+    candidates.append(draw(st.tuples(*[_small_fraction] * rank)))
+    indices = [StratumIndex.from_beta(b) for b in candidates]
+    beta = candidates[2]
+    indices.append(StratumIndex(beta=beta, norm_sq=norm_sq(beta) + 1))
+    return TorusWeights(rank=rank, weights=weights), twist, indices
+
+
+@settings(max_examples=60, deadline=None)
+@given(_torus_with_candidates())
+def test_stratum_quotient_data_matches_enumeration_oracle(case):
+    """Level-set index test against the full 2^N-subset enumeration."""
+    tw, twist, candidates = case
+    oracle = stratification_indices(tw, twist).indices
+    twisted = [vec_sub(vec(w), twist) for w in tw.weights]
+    for idx in candidates:
+        if idx not in oracle or idx.is_zero():
+            with pytest.raises(UnknownIndex):
+                stratum_quotient_data(tw, twist, idx)
+            continue
+        data = stratum_quotient_data(tw, twist, idx)
+        pairings = [dot(idx.beta, w) for w in twisted]
+        nsq = idx.norm_sq
+        assert data.z_indices == tuple(i for i, p in enumerate(pairings) if p == nsq)
+        assert data.above_indices == tuple(i for i, p in enumerate(pairings) if p > nsq)
+        assert data.below_indices == tuple(i for i, p in enumerate(pairings) if p < nsq)
+        above = sorted(p for p in pairings if p > nsq)
+        delta = (above[0] - nsq) / (2 * nsq) if above else Fraction(0)
+        assert data.delta == delta
+        assert data.adapted_twist == tuple((1 + delta) * b for b in idx.beta)
