@@ -207,6 +207,8 @@ def parse_document(text: str) -> ActionDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedDocument("not valid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise MalformedDocument("document top level must be an object")
 

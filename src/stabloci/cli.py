@@ -109,17 +109,30 @@ def _load_document(args) -> ActionDocument:
     path = Path(args.action)
     if not path.exists():
         raise ParseError(f"action document {path} does not exist")
-    doc = parse_document(path.read_text())
-    if args.chi is not None and doc.action.grading is not None:
-        chi = parse_fraction(args.chi.split(",")[0])
-        grading = GradingData(
-            gm_weights=doc.action.grading.gm_weights, character_twist=chi
-        )
-        action = dataclasses.replace(doc.action, grading=grading)
-        doc = dataclasses.replace(doc, action=action)
+    try:
+        text = path.read_text()
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read action document {path}: {exc}") from exc
+    doc = parse_document(text)
     if args.points:
         doc = dataclasses.replace(doc, points=doc.points + _parse_points(args.points, doc.action.n))
     return doc
+
+
+def _load_graded_document(args) -> ActionDocument:
+    """The --action document, its grading twisted by the one --chi entry."""
+    doc = _load_document(args)
+    if args.chi is None:
+        return doc
+    parts = args.chi.split(",")
+    if len(parts) != 1:
+        raise ParseError(f"the grading twist takes one --chi entry, got {len(parts)}")
+    if doc.action.grading is None:
+        return doc
+    grading = GradingData(
+        gm_weights=doc.action.grading.gm_weights, character_twist=parse_fraction(parts[0])
+    )
+    return dataclasses.replace(doc, action=dataclasses.replace(doc.action, grading=grading))
 
 
 def _parse_points(text: str, n: int) -> tuple[tuple[str, ProjectivePoint], ...]:
@@ -178,7 +191,7 @@ def cmd_stability(args) -> dict:
 
 
 def cmd_chamber(args) -> dict:
-    doc = _load_document(args)
+    doc = _load_graded_document(args)
     g = doc.action.grading
     if g is None:
         raise PreconditionError("chamber report needs grading data")
@@ -252,7 +265,7 @@ def _condition_payload(report: graded.ConditionReport) -> dict:
 
 
 def cmd_graded(args) -> dict:
-    doc = _load_document(args)
+    doc = _load_graded_document(args)
     action = doc.action
     g = action.grading
     if g is None:
@@ -289,7 +302,7 @@ def cmd_graded(args) -> dict:
 
 
 def cmd_hatstable(args) -> dict:
-    doc = _load_document(args)
+    doc = _load_graded_document(args)
     q = parse_fraction(args.q)
     m = args.m if args.m else max(doc.bounds.product_m, graded.m_lower_bound(doc.action, q))
     rows = []

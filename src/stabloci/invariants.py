@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .actions import ProjectivePoint, UnipotentData, sym_power_raising
 from .errors import DegreeBoundExceeded, DimensionMismatch, ZeroForm
-from .linalg import RatMatrix, Vector, block_diagonal, int_kernel, row_space_basis
+from .linalg import RatMatrix, Vector, block_diagonal, int_kernel, int_rank, row_space_basis
 from .poly import Exponent, MultiPoly, linear_forms, max_root_multiplicity
 
 
@@ -93,27 +93,33 @@ def _coefficient_row(p: MultiPoly, index: dict[Exponent, int]) -> list[Fraction]
     return row
 
 
+def _clear_denominators(row: dict[int, Fraction]) -> dict[int, int]:
+    """A sparse rational row scaled by the lcm of its denominators."""
+    denom = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (denom // x.denominator) for c, x in row.items()}
+
+
 def _kernel_on_monomials(
     operator_images: Sequence[Sequence[MultiPoly]], monos: Sequence[Exponent], num_vars: int
 ) -> list[Vector]:
     """Joint kernel of derivations restricted to a span of monomials.
 
-    Rows are collected over every operator's image monomials; entries
-    are cleared to integers rowwise so the fraction-free kernel applies.
+    Rows are collected over every operator's image monomials; the nonzero
+    entries are cleared to integers rowwise so the fraction-free kernel
+    applies.
     """
-    rows: dict[tuple[int, Exponent], list[Fraction]] = {}
+    rows: dict[tuple[int, Exponent], dict[int, Fraction]] = {}
     for c, mono in enumerate(monos):
         p = MultiPoly.monomial(num_vars, mono)
         for op_index, images in enumerate(operator_images):
             for exp, coeff in apply_derivation(images, p).terms.items():
-                row = rows.get((op_index, exp))
-                if row is None:
-                    row = rows[(op_index, exp)] = [Fraction(0)] * len(monos)
-                row[c] = coeff
+                rows.setdefault((op_index, exp), {})[c] = coeff
     int_rows = []
     for row in rows.values():
-        denom = lcm(*(x.denominator for x in row))
-        int_rows.append([int(x * denom) for x in row])
+        dense = [0] * len(monos)
+        for c, x in _clear_denominators(row).items():
+            dense[c] = x
+        int_rows.append(dense)
     return int_kernel(int_rows, len(monos))
 
 
@@ -385,6 +391,9 @@ def generator_degree_report(
     A degree-d invariant is new when it lies outside the span of
     products of lower-degree invariants; products of full invariant
     spaces realise every product of algebra elements of lower degrees.
+    The rank of the product rows is taken by the sparse integer core;
+    monomials are numbered in order of first appearance, since the rank
+    does not depend on the column order.
     """
     by_degree = {s.degree: s for s in spaces if s.degree >= 1}
     report = []
@@ -393,9 +402,7 @@ def generator_degree_report(
         if not space.basis:
             report.append(GeneratorDegreeRow(degree=d, dim=0, from_products=0, new_generators=0))
             continue
-        num_vars = space.basis[0].num_vars
-        monos = monomials_of_degree(num_vars, d)
-        index = {m: i for i, m in enumerate(monos)}
+        index: dict[Exponent, int] = {}
         product_rows = []
         for d1 in range(1, d):
             d2 = d - d1
@@ -403,8 +410,9 @@ def generator_degree_report(
                 continue
             for p in by_degree[d1].basis:
                 for q in by_degree[d2].basis:
-                    product_rows.append(_coefficient_row(p.mul(q), index))
-        product_dim = len(row_space_basis(product_rows)) if product_rows else 0
+                    product = {index.setdefault(e, len(index)): c for e, c in p.mul(q).terms.items()}
+                    product_rows.append(_clear_denominators(product))
+        product_dim = int_rank(product_rows)
         report.append(
             GeneratorDegreeRow(
                 degree=d,

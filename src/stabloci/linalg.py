@@ -1,11 +1,13 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Vectors are tuples of Fraction; matrices are immutable row-major tuples
 of such tuples wrapped in RatMatrix.  Everything is computed by exact
 Gaussian elimination; there is no floating point anywhere in this
-package.  Matrix sizes here are tiny (tens of rows), so no effort is
-spent on asymptotics beyond an integer fraction-free kernel used by the
-invariant-ring computations, where matrices reach a few hundred columns.
+package.  The hull and grading matrices are tiny (tens of rows) and go
+through the dense Fraction `rref`.  The invariant-ring matrices reach
+hundreds of rows and columns with a few nonzeros per row; their kernels
+and ranks go through one sparse, fraction-free integer echelon core
+(`_echelon`, behind `int_kernel` and `int_rank`).
 """
 
 from __future__ import annotations
@@ -215,64 +217,77 @@ def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     return [tuple(reduced[i]) for i in range(len(pivots))]
 
 
-def _normalize_int_row(row: list[int]) -> None:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return
-    if g > 1:
-        for i, x in enumerate(row):
-            row[i] = x // g
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Sparse integer echelon form, keyed by each pivot's leading column.
+
+    Rows are dicts of nonzero column -> int.  Each incoming row is reduced
+    against the pivots found so far: r <- a*r - b*p, with a and b the two
+    leading entries over their gcd, and the result divided by the gcd of
+    its entries, so every entry stays an integer.  When the pivot is
+    longer than the row reducing against it, the two swap, which keeps
+    the sparser row as pivot and limits fill-in (Markowitz 1957).  A row
+    that stays nonzero becomes the pivot of its leading column.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            if len(pivot) > len(row):
+                pivots[lead], row, pivot = row, pivot, row
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            out = {c: a * x for c, x in row.items()}
+            for c, x in pivot.items():
+                y = out.get(c, 0) - b * x
+                if y:
+                    out[c] = y
+                else:
+                    del out[c]
+            g = 0
+            for x in out.values():
+                g = gcd(g, x)
+                if g == 1:
+                    break
+            row = {c: x // g for c, x in out.items()} if g > 1 else out
+    return pivots
+
+
+def int_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank of sparse integer rows (dicts of nonzero column -> int)."""
+    return len(_echelon(rows))
 
 
 def int_kernel(rows: list[list[int]], ncols: int) -> list[Vector]:
-    """Kernel basis of an integer matrix, by fraction-free elimination.
+    """Kernel basis of an integer matrix, by sparse fraction-free elimination.
 
-    Same answer as rref_kernel but much faster on the few-hundred-column
-    matrices produced by the invariant-ring computations: rows stay
-    integral (cross-multiplied, gcd-reduced) and only the final
-    back-substitution produces Fractions.
+    The dense rows are reduced to a sparse integer echelon form; only the
+    back-substitution produces Fractions.  The basis is the one
+    rref_kernel returns: one vector per free column, with that column 1
+    and the other free columns 0.  It is the same because the leading
+    columns of any echelon basis are an invariant of the row space, so the
+    free columns are those of the reduced form, and a kernel vector is
+    determined by its entries on the free columns.
     """
-    work = [list(r) for r in rows if any(r)]
-    pivots: list[tuple[int, int]] = []  # (row index in work, column)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        best = None
-        for i in range(r, len(work)):
-            x = work[i][c]
-            if x != 0 and (best is None or abs(x) < best):
-                best = abs(x)
-                pivot_row = i
-                if best == 1:
-                    break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        p = work[r][c]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                q = work[i][c]
-                row_i = work[i]
-                row_r = work[r]
-                work[i] = [p * a - q * b for a, b in zip(row_i, row_r)]
-                _normalize_int_row(work[i])
-        pivots.append((r, c))
-        pivot_cols.append(c)
-        r += 1
-        if r == len(work):
-            break
-    pivot_set = set(pivot_cols)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    pivots = _echelon({j: x for j, x in enumerate(r) if x} for r in rows)
+    descending = sorted(pivots, reverse=True)
     basis: list[Vector] = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row_idx, c in reversed(pivots):
-            row = work[row_idx]
-            s = sum(Fraction(row[j]) * v[j] for j in range(c + 1, ncols) if row[j])
-            v[c] = -s / row[c]
-        basis.append(tuple(v))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = {f: Fraction(1)}
+        for c in descending:
+            if c > f:  # every column of this pivot lies beyond f, where v is 0
+                continue
+            row = pivots[c]
+            s = sum(x * v[j] for j, x in row.items() if j in v)
+            if s:
+                v[c] = -s / row[c]
+        dense = [Fraction(0)] * ncols
+        for j, x in v.items():
+            dense[j] = x
+        basis.append(tuple(dense))
     return basis

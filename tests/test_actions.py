@@ -207,6 +207,11 @@ def test_parse_rejects_garbage():
         parse_document(json.dumps({"n": 1}))
 
 
+def test_parse_rejects_deep_nesting():
+    with pytest.raises(MalformedDocument):
+        parse_document("[" * 100000 + "]" * 100000)
+
+
 def test_cubics_document_accepted():
     # the symmetric-cube generator with grading weights and adjoint weight 2
     action = jordan_embed_ga([3])

@@ -173,3 +173,41 @@ def test_malformed_points_file_is_a_parse_error(tmp_path, text):
     code, out = run(["stability", "--action", corpus_path("torus_line.json"), "--points", str(path)])
     assert code == EXIT_PARSE
     assert out.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "deeply_nested"])
+def test_unreadable_action_document_is_a_parse_error(tmp_path, kind):
+    path = tmp_path / "action.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe{")
+    else:
+        path.write_text("[" * 100000 + "]" * 100000)
+    code, out = run(["stability", "--action", str(path)])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chamber", "--action", corpus_path("jordan_3.json")],
+        ["graded", "--action", corpus_path("jordan_3.json")],
+        ["hatstable", "--action", corpus_path("jordan_3.json"), "--q", "1/2"],
+    ],
+    ids=["chamber", "graded", "hatstable"],
+)
+def test_grading_twist_takes_one_chi_entry(argv):
+    code, out = run(argv + ["--chi", "-2,5"])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ") and "got 2" in out
+    assert run(argv + ["--chi", "-2"])[0] == EXIT_OK
+
+
+def test_torus_twist_takes_one_chi_entry_per_rank():
+    doc = corpus_path("torus_rank2.json")
+    for command in ("stability", "strata"):
+        assert run([command, "--action", doc, "--chi", "1/3,-1"])[0] == EXIT_OK
+        code, out = run([command, "--action", doc, "--chi", "1,2,3"])
+        assert code == EXIT_PARSE and "3 entries" in out

@@ -57,6 +57,12 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
         argvs.append((f"invariants__{stem}", ["invariants", "--action", doc, "--max-degree", "8"]))
     for n in (3, 4, 5, 6, 7):
         argvs.append((f"invariants_sl2__{n}", ["invariants", "--sl2", str(n), "--max-degree", "6"]))
+    # Sizes where the derivation and product matrices reach hundreds of columns.
+    argvs.append(("invariants_sl2__8_d8", ["invariants", "--sl2", "8", "--max-degree", "8"]))
+    argvs.append(("invariants_sl2__6_d10", ["invariants", "--sl2", "6", "--max-degree", "10"]))
+    argvs.append(
+        ("invariants_d10__jordan_3", ["invariants", "--action", "corpus/jordan_3.json", "--max-degree", "10"])
+    )
     return argvs
 
 

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from stabloci.actions import ProjectivePoint, UnipotentData, jordan_embed_ga, sym_power_raising
+from stabloci.actions import (
+    ProjectivePoint,
+    UnipotentData,
+    jet_group_example,
+    jordan_embed_ga,
+    sym_power_raising,
+)
 from stabloci.errors import DegreeBoundExceeded, DimensionMismatch
 from stabloci.invariants import (
     apply_derivation,
@@ -21,7 +27,7 @@ from stabloci.invariants import (
     sl2_weight_counting_dimension,
     unipotent_invariants,
 )
-from stabloci.linalg import RatMatrix, matrix_rank, rref_kernel
+from stabloci.linalg import RatMatrix, matrix_rank, row_space_basis, rref_kernel
 from stabloci.poly import MultiPoly
 from stabloci.torus import Status, torus_verdict
 
@@ -104,6 +110,35 @@ def test_generator_counts_stabilise_as_finite_generation_witness():
     by_degree = {r.degree: r for r in report}
     assert by_degree[6].from_products == 9 - 1  # one relation in degree 6
     assert by_degree[6].dim == 8
+
+
+def _product_ranks_by_rref(spaces):
+    """Product-span dimension per degree, by the dense Fraction row space."""
+    by_degree = {s.degree: s for s in spaces}
+    ranks = {}
+    for d, space in by_degree.items():
+        monos = monomials_of_degree(space.basis[0].num_vars, d)
+        index = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for d1 in range(1, d // 2 + 1):
+            for p in by_degree[d1].basis:
+                for q in by_degree[d - d1].basis:
+                    row = [Fraction(0)] * len(monos)
+                    for exp, c in p.mul(q).terms.items():
+                        row[index[exp]] = c
+                    rows.append(row)
+        ranks[d] = len(row_space_basis(rows))
+    return ranks
+
+
+@pytest.mark.parametrize("action", [jordan_embed_ga([3]), jet_group_example(3)], ids=["jordan_3", "jet_3"])
+def test_generator_report_matches_row_space_basis(action):
+    gm = action.grading.gm_weights
+    spaces = [unipotent_invariants(action.unipotent, d, gm_weights=gm) for d in range(1, 9)]
+    expected = _product_ranks_by_rref(spaces)
+    for row in generator_degree_report(spaces):
+        assert row.from_products == expected[row.degree]
+        assert row.new_generators == row.dim - expected[row.degree]
 
 
 def test_invariants_annihilated_and_weight_tagged():

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabloci.linalg import (
     RatMatrix,
     int_kernel,
+    int_rank,
     matrix_rank,
     row_space_basis,
     rref_kernel,
@@ -69,6 +70,34 @@ def test_int_kernel_randomised_differential():
             assert all(x == 0 for x in m.mul_vec(v))
         # same span: stacking changes no rank
         assert matrix_rank(fast + slow) == len(slow) or len(slow) == 0
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices of 0-8 rows and 1-12 columns, entries up to 10^6,
+    often with zero, duplicate or proportional rows."""
+    ncols = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**6), 10**6))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    while rows and len(rows) < 8 and draw(st.booleans()):
+        source = draw(st.sampled_from(rows))
+        factor = draw(st.sampled_from([0, 1, -1, 2, -7, 10**6]))
+        rows.insert(draw(st.integers(0, len(rows))), [factor * x for x in source])
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+@example(([], 5))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]], 12))
+@example(([[0, 2, 4, 0, 6], [0, 1, 2, 0, 3], [0, -3, -6, 0, -9]], 5))
+def test_int_kernel_is_rref_kernel(matrix):
+    """The sparse core gives rref_kernel's basis exactly, and its rank."""
+    rows, ncols = matrix
+    assert int_kernel(rows, ncols) == rref_kernel(RatMatrix(rows or [[0] * ncols]))
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    assert int_rank(sparse) == matrix_rank(rows)
 
 
 def test_solve_consistent_and_inconsistent():
