@@ -43,6 +43,7 @@ from .poly import (
     MultiPoly,
     linear_forms,
     poly_gcd_univariate,
+    rational_roots,
     rational_roots_with_multiplicity,
     univariate_coeffs,
 )
@@ -306,6 +307,16 @@ def _grid_search(
     return None
 
 
+def _gcd_root(polys: list[MultiPoly]) -> tuple[int, Fraction | None]:
+    """Degree of the gcd of univariate polynomials (0 when it is constant)
+    and its least rational root, or None when it has none."""
+    gcd_poly = poly_gcd_univariate(polys)
+    if gcd_poly.is_constant():
+        return 0, None
+    roots = rational_roots(univariate_coeffs(gcd_poly))
+    return gcd_poly.total_degree(), roots[0] if roots else None
+
+
 def _exists_common_vanishing(
     conds: list[MultiPoly], num_vars: int, seed: int
 ) -> SweepCertificate:
@@ -321,15 +332,13 @@ def _exists_common_vanishing(
     if num_vars <= 1:
         if any(c.is_constant() for c in live):
             return SweepCertificate(in_sweep=False, witness="a nonzero constant condition")
-        gcd_poly = poly_gcd_univariate(live)
-        if gcd_poly.is_constant():
+        degree, root = _gcd_root(live)
+        if not degree:
             return SweepCertificate(in_sweep=False, witness="coprime coordinate polynomials")
-        roots = rational_roots_with_multiplicity(univariate_coeffs(gcd_poly))
-        params: Vector | None = (roots[0][0],) if roots else None
         return SweepCertificate(
             in_sweep=True,
-            witness=f"gcd of coordinate polynomials has degree {gcd_poly.total_degree()}",
-            witness_params=params,
+            witness=f"gcd of coordinate polynomials has degree {degree}",
+            witness_params=None if root is None else (root,),
         )
     outcome, witness = _solve_vanishing(live, num_vars, depth=num_vars + 2)
     if outcome == "yes":
@@ -390,6 +399,22 @@ def _rank_one_torus(g: GradingData):
     return TorusWeights(rank=1, weights=tuple((w,) for w in g.gm_weights))
 
 
+def _require_grading(action: WeightedAction) -> GradingData:
+    if action.grading is None:
+        raise NotAdapted("action carries no grading data")
+    return action.grading
+
+
+def _require_adapted(g: GradingData) -> None:
+    if not is_adapted(g):
+        raise NotAdapted("character twist is not adapted: 0 is not interior to the lowest bounded chamber")
+
+
+def _require_trivial_unipotent(action: WeightedAction) -> None:
+    if action.unipotent_dim() > 0:
+        raise UnsupportedUnipotentDimension("a trivial grading forces a trivial unipotent group")
+
+
 def hat_stable_minplus(
     action: WeightedAction, x: ProjectivePoint, seed: int = 0
 ) -> StabilityVerdict:
@@ -400,21 +425,13 @@ def hat_stable_minplus(
     more than one generator a negative sweep answer may be heuristic
     and the verdict says so.
     """
-    g = action.grading
-    if g is None:
-        raise NotAdapted("action carries no grading data")
+    g = _require_grading(action)
     if g.is_trivial():
         # a trivial circle forces a trivial unipotent group; plain torus
         # stability is the whole story then
-        if action.unipotent_dim() > 0:
-            raise UnsupportedUnipotentDimension(
-                "a trivial grading forces a trivial unipotent group"
-            )
+        _require_trivial_unipotent(action)
         return torus_verdict(action.torus, zero_vec(action.torus.rank), x)
-    if not is_adapted(g):
-        raise NotAdapted(
-            "character twist is not adapted: 0 is not interior to the lowest bounded chamber"
-        )
+    _require_adapted(g)
     support = x.support()
     if not in_X0_min(g, x):
         return StabilityVerdict(
@@ -547,19 +564,12 @@ def _binary_forms_common_zero(
     if all(f.substitute_constants({0: Fraction(0), 1: Fraction(1)}).is_zero() for f in live):
         return True, (Fraction(0), Fraction(1)), "common zero at [0:1]"
     dehom = [f.substitute_constants({0: Fraction(1)}).restrict_vars([1]) for f in live]
-    gcd_poly = poly_gcd_univariate(dehom)
-    if gcd_poly.is_constant():
+    degree, root = _gcd_root(dehom)
+    if not degree:
         return False, None, "coprime dehomogenisations"
-    roots = rational_roots_with_multiplicity(univariate_coeffs(gcd_poly))
-    if roots:
-        return True, (Fraction(1), roots[0][0]), "rational common zero"
-    return True, None, f"gcd of degree {gcd_poly.total_degree()} (irrational zero)"
-
-
-def _require_grading(action: WeightedAction) -> GradingData:
-    if action.grading is None:
-        raise NotAdapted("action carries no grading data")
-    return action.grading
+    if root is not None:
+        return True, (Fraction(1), root), "rational common zero"
+    return True, None, f"gcd of degree {degree} (irrational zero)"
 
 
 def _sample_block_points(
@@ -816,10 +826,7 @@ def q_hat_stable(
     if m < m0:
         raise MTooSmall(f"m={m} is below the lower bound {m0}")
     if trivial:
-        if action.unipotent_dim() > 0:
-            raise UnsupportedUnipotentDimension(
-                "a trivial grading forces a trivial unipotent group"
-            )
+        _require_trivial_unipotent(action)
         base = Fraction(g.twisted_weights()[0]) if g is not None else Fraction(0)
         lo = base - q * m
         hi = base + m - q * m
@@ -843,10 +850,7 @@ def q_hat_stable(
         raise UnsupportedUnipotentDimension(
             f"hat test requires at most one generator, got {action.unipotent_dim()}"
         )
-    if not is_adapted(g):
-        raise NotAdapted(
-            "character twist is not adapted: 0 is not interior to the lowest bounded chamber"
-        )
+    _require_adapted(g)
     tw = g.twisted_weights()
     low = [i for i, w in enumerate(tw) if w < q * m]
     high = [i for i, w in enumerate(tw) if w > q * m - m]

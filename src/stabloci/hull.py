@@ -70,10 +70,8 @@ def _has_supporting_hyperplane(points: Sequence[Vector], dim: int) -> bool:
     if dim == 1:
         return all(p[0] >= 0 for p in nonzero) or all(p[0] <= 0 for p in nonzero)
     for subset in combinations(dict.fromkeys(nonzero), dim - 1):
-        if matrix_rank(subset) != dim - 1:
-            continue
         kernel = rref_kernel(RatMatrix(subset))
-        if len(kernel) != 1:
+        if len(kernel) != 1:  # the subset has rank below dim - 1
             continue
         c = kernel[0]
         pairings = [dot(c, p) for p in nonzero]

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 from typing import Iterable, Sequence
 
 from .actions import ProjectivePoint, UnipotentData, sym_power_raising
@@ -93,20 +92,13 @@ def _coefficient_row(p: MultiPoly, index: dict[Exponent, int]) -> list[Fraction]
     return row
 
 
-def _clear_denominators(row: dict[int, Fraction]) -> dict[int, int]:
-    """A sparse rational row scaled by the lcm of its denominators."""
-    denom = lcm(*(x.denominator for x in row.values()))
-    return {c: x.numerator * (denom // x.denominator) for c, x in row.items()}
-
-
 def _kernel_on_monomials(
     operator_images: Sequence[Sequence[MultiPoly]], monos: Sequence[Exponent], num_vars: int
 ) -> list[Vector]:
     """Joint kernel of derivations restricted to a span of monomials.
 
-    Rows are collected over every operator's image monomials; the nonzero
-    entries are cleared to integers rowwise so the fraction-free kernel
-    applies.
+    One sparse row per operator and image monomial, holding the
+    coefficients of that monomial in the images of the span.
     """
     rows: dict[tuple[int, Exponent], dict[int, Fraction]] = {}
     for c, mono in enumerate(monos):
@@ -114,13 +106,7 @@ def _kernel_on_monomials(
         for op_index, images in enumerate(operator_images):
             for exp, coeff in apply_derivation(images, p).terms.items():
                 rows.setdefault((op_index, exp), {})[c] = coeff
-    int_rows = []
-    for row in rows.values():
-        dense = [0] * len(monos)
-        for c, x in _clear_denominators(row).items():
-            dense[c] = x
-        int_rows.append(dense)
-    return int_kernel(int_rows, len(monos))
+    return int_kernel(list(rows.values()), len(monos))
 
 
 def _vectors_to_polys(
@@ -410,8 +396,9 @@ def generator_degree_report(
                 continue
             for p in by_degree[d1].basis:
                 for q in by_degree[d2].basis:
-                    product = {index.setdefault(e, len(index)): c for e, c in p.mul(q).terms.items()}
-                    product_rows.append(_clear_denominators(product))
+                    product_rows.append(
+                        {index.setdefault(e, len(index)): c for e, c in p.mul(q).terms.items()}
+                    )
         product_dim = int_rank(product_rows)
         report.append(
             GeneratorDegreeRow(

@@ -1,19 +1,23 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of Fraction; matrices are immutable row-major tuples
-of such tuples wrapped in RatMatrix.  Everything is computed by exact
-Gaussian elimination; there is no floating point anywhere in this
-package.  The hull and grading matrices are tiny (tens of rows) and go
-through the dense Fraction `rref`.  The invariant-ring matrices reach
-hundreds of rows and columns with a few nonzeros per row; their kernels
-and ranks go through one sparse, fraction-free integer echelon core
-(`_echelon`, behind `int_kernel` and `int_rank`).
+of such tuples wrapped in RatMatrix.  There is no floating point
+anywhere in this package.
+
+Every elimination goes through one sparse, fraction-free core: rows
+become dicts of nonzero column -> int after clearing denominators,
+`_echelon` brings them to an integer echelon form (Bareiss 1968;
+Markowitz 1957), and `_reduce` turns that into the reduced echelon
+form.  The dense readers (`rref`, `rref_kernel`, `solve`, `matrix_rank`,
+`row_space_basis`) serve the tiny hull and grading matrices; the sparse
+ones (`int_kernel`, `int_rank`) serve the invariant-ring matrices, which
+reach hundreds of rows and columns with a few nonzeros per row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -151,43 +155,18 @@ def block_diagonal(blocks: Sequence[RatMatrix]) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
     ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    reduced = _reduce(_echelon(_clear_denominators(dict(enumerate(r))) for r in rows))
+    pivots = sorted(reduced)
+    return [[reduced[c].get(j, Fraction(0)) for j in range(ncols)] for c in pivots], pivots
 
 
 def rref_kernel(m: RatMatrix) -> list[Vector]:
     """Basis of {v : m v = 0}, one vector per free column."""
-    reduced, pivots = rref([list(r) for r in m.entries])
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for f in (c for c in range(m.cols) if c not in pivot_set):
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(tuple(v))
-    return basis
+    reduced, pivots = rref(m.entries)
+    return _kernel_basis({c: dict(enumerate(r)) for c, r in zip(pivots, reduced)}, m.cols)
 
 
 def solve(m: RatMatrix, rhs: Sequence[Fraction]) -> Vector | None:
@@ -203,30 +182,51 @@ def solve(m: RatMatrix, rhs: Sequence[Fraction]) -> Vector | None:
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref([list(r) for r in rows])
-    return len(pivots)
+    return len(rref(rows)[1])
 
 
 def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """Canonical (reduced echelon) basis of the span of the given rows."""
-    if not rows:
-        return []
-    reduced, pivots = rref([list(r) for r in rows])
-    return [tuple(reduced[i]) for i in range(len(pivots))]
+    return [tuple(r) for r in rref(rows)[0]]
+
+
+def _clear_denominators(row: dict[int, Fraction | int]) -> dict[int, int]:
+    """The nonzero entries of a sparse rational row, scaled by the lcm of
+    their denominators to integers."""
+    row = {c: x for c, x in row.items() if x}
+    denom = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (denom // x.denominator) for c, x in row.items()}
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
+    """a*row - b*pivot, with a and b the column-c entries over their gcd
+    so that column c cancels, divided by the gcd of its entries."""
+    g = gcd(pivot[c], row[c])
+    a, b = pivot[c] // g, row[c] // g
+    out = {j: a * x for j, x in row.items()}
+    for j, x in pivot.items():
+        y = out.get(j, 0) - b * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+    g = 0
+    for x in out.values():
+        g = gcd(g, x)
+        if g == 1:
+            break
+    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Sparse integer echelon form, keyed by each pivot's leading column.
 
     Rows are dicts of nonzero column -> int.  Each incoming row is reduced
-    against the pivots found so far: r <- a*r - b*p, with a and b the two
-    leading entries over their gcd, and the result divided by the gcd of
-    its entries, so every entry stays an integer.  When the pivot is
-    longer than the row reducing against it, the two swap, which keeps
-    the sparser row as pivot and limits fill-in (Markowitz 1957).  A row
-    that stays nonzero becomes the pivot of its leading column.
+    against the pivots found so far by `_eliminate`, so every entry stays
+    an integer.  When the pivot is longer than the row reducing against
+    it, the two swap, which keeps the sparser row as pivot and limits
+    fill-in (Markowitz 1957).  A row that stays nonzero becomes the pivot
+    of its leading column.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -238,56 +238,50 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
                 break
             if len(pivot) > len(row):
                 pivots[lead], row, pivot = row, pivot, row
-            g = gcd(pivot[lead], row[lead])
-            a, b = pivot[lead] // g, row[lead] // g
-            out = {c: a * x for c, x in row.items()}
-            for c, x in pivot.items():
-                y = out.get(c, 0) - b * x
-                if y:
-                    out[c] = y
-                else:
-                    del out[c]
-            g = 0
-            for x in out.values():
-                g = gcd(g, x)
-                if g == 1:
-                    break
-            row = {c: x // g for c, x in out.items()} if g > 1 else out
+            row = _eliminate(row, pivot, lead)
     return pivots
 
 
-def int_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank of sparse integer rows (dicts of nonzero column -> int)."""
-    return len(_echelon(rows))
+def _reduce(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
+    """The reduced echelon form of an `_echelon` result, keyed the same.
 
-
-def int_kernel(rows: list[list[int]], ncols: int) -> list[Vector]:
-    """Kernel basis of an integer matrix, by sparse fraction-free elimination.
-
-    The dense rows are reduced to a sparse integer echelon form; only the
-    back-substitution produces Fractions.  The basis is the one
-    rref_kernel returns: one vector per free column, with that column 1
-    and the other free columns 0.  It is the same because the leading
-    columns of any echelon basis are an invariant of the row space, so the
-    free columns are those of the reduced form, and a kernel vector is
-    determined by its entries on the free columns.
+    Back-substitution from the last leading column to the first: each
+    pivot is cleared, fraction-free, in the leading columns of the pivots
+    after it, which are already zero in every other leading column; only
+    the final division by the leading entry makes Fractions.  The result
+    is unique, so every reader of it agrees with a dense Gauss-Jordan.
     """
-    pivots = _echelon({j: x for j, x in enumerate(r) if x} for r in rows)
-    descending = sorted(pivots, reverse=True)
-    basis: list[Vector] = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = {f: Fraction(1)}
-        for c in descending:
-            if c > f:  # every column of this pivot lies beyond f, where v is 0
-                continue
-            row = pivots[c]
-            s = sum(x * v[j] for j, x in row.items() if j in v)
-            if s:
-                v[c] = -s / row[c]
-        dense = [Fraction(0)] * ncols
-        for j, x in v.items():
-            dense[j] = x
-        basis.append(tuple(dense))
-    return basis
+    done: dict[int, dict[int, int]] = {}
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for c in [c for c in row if c != lead and c in done]:
+            row = _eliminate(row, done[c], c)
+        done[lead] = row
+    return {
+        lead: {j: Fraction(x, row[lead]) for j, x in row.items()} for lead, row in done.items()
+    }
+
+
+def int_rank(rows: Iterable[dict[int, Fraction | int]]) -> int:
+    """Rank of sparse rational rows (dicts of column -> entry)."""
+    return len(_echelon(_clear_denominators(r) for r in rows))
+
+
+def int_kernel(rows: list[dict[int, Fraction | int]], ncols: int) -> list[Vector]:
+    """Kernel basis of sparse rational rows (dicts of column -> entry),
+    the one rref_kernel returns."""
+    return _kernel_basis(_reduce(_echelon(_clear_denominators(r) for r in rows)), ncols)
+
+
+def _kernel_basis(reduced: dict[int, dict[int, Fraction]], ncols: int) -> list[Vector]:
+    """Kernel of a reduced echelon form keyed by leading column: one vector
+    per free column f, with f 1, the other free columns 0, and at each
+    leading column minus that row's entry in column f."""
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in reduced}
+    for f, v in basis.items():
+        v[f] = Fraction(1)
+    for lead, row in reduced.items():
+        for j, x in row.items():
+            if j in basis:
+                basis[j][lead] = -x
+    return [tuple(v) for v in basis.values()]

@@ -3,12 +3,14 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_kernel, reference_rank, reference_row_space, reference_rref, reference_solve
 from stabloci.linalg import (
     RatMatrix,
     int_kernel,
     int_rank,
     matrix_rank,
     row_space_basis,
+    rref,
     rref_kernel,
     solve,
     vec,
@@ -43,10 +45,14 @@ def test_kernel_vectors_annihilated_exactly():
         assert all(x == 0 for x in m.mul_vec(v))
 
 
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
 def test_int_kernel_matches_rref_kernel_span():
     rows = [[2, 3, 5, 7], [1, 0, -1, 2], [3, 3, 4, 9]]
     frac = rref_kernel(RatMatrix(rows))
-    fast = int_kernel(rows, 4)
+    fast = int_kernel(_sparse(rows), 4)
     assert len(frac) == len(fast)
     assert matrix_rank(frac + fast) == len(frac)
     m = RatMatrix(rows)
@@ -62,7 +68,7 @@ def test_int_kernel_randomised_differential():
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
         rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
-        fast = int_kernel(rows, ncols)
+        fast = int_kernel(_sparse(rows), ncols)
         slow = rref_kernel(RatMatrix(rows))
         assert len(fast) == len(slow)
         m = RatMatrix(rows)
@@ -95,9 +101,55 @@ def int_matrices(draw):
 def test_int_kernel_is_rref_kernel(matrix):
     """The sparse core gives rref_kernel's basis exactly, and its rank."""
     rows, ncols = matrix
-    assert int_kernel(rows, ncols) == rref_kernel(RatMatrix(rows or [[0] * ncols]))
-    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    sparse = _sparse(rows)
+    assert int_kernel(sparse, ncols) == rref_kernel(RatMatrix(rows or [[0] * ncols]))
     assert int_rank(sparse) == matrix_rank(rows)
+
+
+@st.composite
+def rational_systems(draw):
+    """A rational matrix of 0-7 rows and 1-12 columns with mixed
+    denominators, often with zero or proportional rows, and a right-hand
+    side that is either in its column span or drawn at random."""
+    ncols = draw(st.integers(1, 12))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-3, 3).map(Fraction),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=7))
+    while rows and len(rows) < 7 and draw(st.booleans()):
+        source = draw(st.sampled_from(rows))
+        factor = draw(st.sampled_from([Fraction(0), Fraction(-1), Fraction(3, 7), Fraction(-10**6, 11)]))
+        rows.insert(draw(st.integers(0, len(rows))), [factor * x for x in source])
+    if draw(st.booleans()):
+        x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rhs = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    return rows, ncols, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+@example(([], 4, []))
+@example(([[Fraction(0)] * 3, [Fraction(0)] * 3], 3, [Fraction(0), Fraction(1)]))
+@example(([[Fraction(1, k) for k in range(1, 13)]], 12, [Fraction(5, 6)]))
+@example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]], 2, [Fraction(1), Fraction(3)]))
+@example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]], 2, [Fraction(1), Fraction(2)]))
+def test_elimination_matches_dense_gauss_jordan(system):
+    """Every reader of the sparse core equals the dense Fraction reference."""
+    rows, ncols, rhs = system
+    sparse = _sparse(rows)
+    assert rref(rows) == reference_rref(rows)
+    assert matrix_rank(rows) == int_rank(sparse) == reference_rank(rows)
+    assert row_space_basis(rows) == reference_row_space(rows)
+    kernel = reference_kernel(rows, ncols)
+    assert int_kernel(sparse, ncols) == kernel
+    if rows:
+        assert rref_kernel(RatMatrix(rows)) == kernel
+        assert solve(RatMatrix(rows), rhs) == reference_solve(rows, rhs, ncols)
 
 
 def test_solve_consistent_and_inconsistent():
