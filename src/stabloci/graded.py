@@ -6,10 +6,12 @@ minimal weight is a coordinate subspace; points flowing into it form an
 open set preserved by the unipotent group (each generator strictly
 raises the twisted weight).  Stability for the extended group is then
 "flows to the minimal fixed locus, but cannot be translated into it":
-the translate of a point along a one-parameter unipotent direction has
-polynomial coordinates in the group parameter, so membership in the
-sweep of the fixed locus is exactly solvability of a finite polynomial
-system; for one-dimensional groups a univariate gcd computation.
+the translate exp(sN)x of a point along a one-parameter unipotent
+direction has polynomial coordinates in the group parameter, the finite
+series sum_k s^k/k! N^k x applied to the vector through the nonzero
+entries of N, so membership in the sweep of the fixed locus is exactly
+solvability of a finite polynomial system; for one-dimensional groups a
+univariate gcd computation.
 
 Stabiliser dimensions are exact kernel computations.  On the minimal
 fixed locus the stabiliser condition collapses to a linear one (the
@@ -40,12 +42,14 @@ from .errors import (
 )
 from .linalg import RatMatrix, Vector, rref_kernel, solve, zero_vec
 from .poly import (
+    Exponent,
     MultiPoly,
+    from_univariate_coeffs,
     linear_forms,
     poly_gcd_univariate,
     rational_roots,
-    rational_roots_with_multiplicity,
     univariate_coeffs,
+    univariate_derivative,
 )
 from .torus import (
     StabilityVerdict,
@@ -172,42 +176,29 @@ def is_adapted(g: GradingData) -> bool:
 # -- unipotent translates ------------------------------------------------
 
 
-def _exp_nilpotent_poly(n_matrix: RatMatrix, var_index: int, num_vars: int) -> list[list[MultiPoly]]:
-    """Matrix of exp(s * N) with entries polynomial in variable `var_index`."""
-    size = n_matrix.rows
-    result = [
-        [MultiPoly.const(num_vars, 1) if i == j else MultiPoly.zero(num_vars) for j in range(size)]
-        for i in range(size)
-    ]
-    power = RatMatrix.identity(size)
-    factorial = 1
-    for k in range(1, size):
-        power = power.mul(n_matrix)
-        if power.is_zero():
-            break
-        factorial *= k
-        exp = [0] * num_vars
-        exp[var_index] = k
-        s_k = MultiPoly.monomial(num_vars, tuple(exp), Fraction(1, factorial))
-        for i in range(size):
-            for j in range(size):
-                c = power.entry(i, j)
-                if c != 0:
-                    result[i][j] = result[i][j].add(s_k.scale(c))
-    return result
+def _exp_series(
+    n_matrix: RatMatrix, var_index: int, coords: list[dict[Exponent, Fraction]]
+) -> list[dict[Exponent, Fraction]]:
+    """exp(s N) applied to polynomial coordinates, s the variable `var_index`.
 
-
-def _apply_poly_matrix(
-    matrix: list[list[MultiPoly]], coords: list[MultiPoly]
-) -> list[MultiPoly]:
-    out = []
-    for row in matrix:
-        acc = MultiPoly.zero(coords[0].num_vars)
-        for entry, c in zip(row, coords):
-            if not entry.is_zero() and not c.is_zero():
-                acc = acc.add(entry.mul(c))
-        out.append(acc)
-    return out
+    Sums the finite series  sum_k s^k/k! N^k coords: each term is N times
+    the previous one, multiplied by s/k, through the nonzero entries of N.
+    """
+    entries = [(i, j, c) for i, row in enumerate(n_matrix.entries) for j, c in enumerate(row) if c]
+    total = [dict(p) for p in coords]
+    term = coords
+    for k in range(1, n_matrix.rows):
+        step: list[dict[Exponent, Fraction]] = [{} for _ in term]
+        for i, j, c in entries:
+            out, scale = step[i], c / k
+            for exp, v in term[j].items():
+                key = exp[:var_index] + (exp[var_index] + 1,) + exp[var_index + 1 :]
+                out[key] = out.get(key, 0) + scale * v
+        term = step
+        for acc, p in zip(total, term):
+            for e, v in p.items():
+                acc[e] = acc.get(e, 0) + v
+    return total
 
 
 def translate_coordinate_polys(
@@ -217,14 +208,14 @@ def translate_coordinate_polys(
 
     The product of one-parameter subgroups parametrises the whole group
     when the generators span its Lie algebra (coordinates of the second
-    kind), which is the data model's standing assumption.
+    kind), which is the data model's standing assumption.  The factors
+    act right to left, each as its exponential series on the vector.
     """
     dim = u.dim
-    coords: list[MultiPoly] = [MultiPoly.const(dim, c) for c in x.coords]
+    coords = [{(0,) * dim: c} if c else {} for c in x.coords]
     for j in range(dim - 1, -1, -1):
-        matrix = _exp_nilpotent_poly(u.generators[j], j, dim)
-        coords = _apply_poly_matrix(matrix, coords)
-    return coords
+        coords = _exp_series(u.generators[j], j, coords)
+    return [MultiPoly(dim, p) for p in coords]
 
 
 # -- vanishing systems ---------------------------------------------------
@@ -245,6 +236,16 @@ def _solve_affine_linear(conds: list[MultiPoly], num_vars: int) -> Vector | None
         rows.append(row)
         rhs.append(-const)
     return solve(RatMatrix(rows), rhs)
+
+
+def _all_roots_rational(f: MultiPoly, roots: Sequence[Fraction]) -> bool:
+    """Are the distinct rational roots of univariate f all its roots?
+
+    f has deg f - deg gcd(f, f') distinct roots over the algebraic closure.
+    """
+    coeffs = univariate_coeffs(f)
+    derivative = from_univariate_coeffs(univariate_derivative(coeffs))
+    return len(roots) == len(coeffs) - 1 - poly_gcd_univariate([f, derivative]).total_degree()
 
 
 def _solve_vanishing(
@@ -272,11 +273,10 @@ def _solve_vanishing(
         if len(used) != 1:
             continue
         var = used.pop()
-        coeffs = univariate_coeffs(cond.restrict_vars([var]))
-        roots = rational_roots_with_multiplicity(coeffs)
-        exhaustive = sum(m for _, m in roots) == len(coeffs) - 1
+        f = cond.restrict_vars([var])
+        roots = rational_roots(univariate_coeffs(f))
         saw_unknown = False
-        for root, _ in roots:
+        for root in roots:
             substituted = [c.substitute_constants({var: root}) for c in live]
             outcome, witness = _solve_vanishing(substituted, num_vars, depth - 1)
             if outcome == "yes":
@@ -286,7 +286,7 @@ def _solve_vanishing(
                 return "yes", tuple(full)
             if outcome == "unknown":
                 saw_unknown = True
-        if exhaustive and not saw_unknown:
+        if not saw_unknown and _all_roots_rational(f, roots):
             # every root of this condition is rational and every branch
             # failed exactly, so the whole system is unsolvable
             decided_no = True
@@ -359,13 +359,12 @@ def _exists_common_vanishing(
 
 
 def _sweep_certificate(
-    action: WeightedAction, x: ProjectivePoint, target_indices: Sequence[int], seed: int
+    u: UnipotentData | None, x: ProjectivePoint, target_indices: Sequence[int], seed: int
 ) -> SweepCertificate:
     """Can some group translate of x kill every coordinate in the target set?"""
     targets = list(target_indices)
     if not targets:
         return SweepCertificate(in_sweep=True, witness="no coordinates constrained")
-    u = action.unipotent
     if u is None or u.dim == 0:
         vanish = all(x.coords[i] == 0 for i in targets)
         return SweepCertificate(
@@ -387,16 +386,7 @@ def u_sweep_membership(
         )
     lowest = set(min_weight_indices(g))
     above = [i for i in range(len(g.gm_weights)) if i not in lowest]
-    action = WeightedAction(
-        torus=_rank_one_torus(g), grading=g, unipotent=u, label="sweep"
-    )
-    return _sweep_certificate(action, x, above, seed)
-
-
-def _rank_one_torus(g: GradingData):
-    from .actions import TorusWeights
-
-    return TorusWeights(rank=1, weights=tuple((w,) for w in g.gm_weights))
+    return _sweep_certificate(u, x, above, seed)
 
 
 def _require_grading(action: WeightedAction) -> GradingData:
@@ -441,7 +431,7 @@ def hat_stable_minplus(
         )
     lowest = set(min_weight_indices(g))
     above = [i for i in range(len(g.gm_weights)) if i not in lowest]
-    cert = _sweep_certificate(action, x, above, seed)
+    cert = _sweep_certificate(action.unipotent, x, above, seed)
     if cert.in_sweep:
         return StabilityVerdict(
             status=Status.UNSTABLE,
@@ -854,8 +844,8 @@ def q_hat_stable(
     tw = g.twisted_weights()
     low = [i for i, w in enumerate(tw) if w < q * m]
     high = [i for i, w in enumerate(tw) if w > q * m - m]
-    kill_low = _sweep_certificate(action, x, low, seed)
-    kill_high = _sweep_certificate(action, x, high, seed)
+    kill_low = _sweep_certificate(action.unipotent, x, low, seed)
+    kill_high = _sweep_certificate(action.unipotent, x, high, seed)
     heuristic = kill_low.heuristic or kill_high.heuristic
     if kill_low.in_sweep or kill_high.in_sweep:
         # a positive sweep always carries an exact certificate

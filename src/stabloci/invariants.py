@@ -7,9 +7,11 @@ invariants as their Lie algebras, so no averaging operator is needed.
 
 Convention, fixed once: a matrix N acting on the coordinate vector
 space induces the derivation  x_i -> -sum_j N[i][j] x_j  on coordinate
-functions (the negative transpose action), extended by Leibniz.  All
-weight bookkeeping below uses the induced function weights, which are
-the negatives of the coordinate weights.
+functions (the negative transpose action), extended by Leibniz.  It is
+applied term by term through the nonzero entries of N: a term c x^e
+gains  -e_i N[i][j] c x^(e - u_i + u_j)  for each N[i][j] != 0, u_i
+the i-th unit exponent.  All weight bookkeeping below uses the induced
+function weights, which are the negatives of the coordinate weights.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Sequence
 from .actions import ProjectivePoint, UnipotentData, sym_power_raising
 from .errors import DegreeBoundExceeded, DimensionMismatch, ZeroForm
 from .linalg import RatMatrix, Vector, block_diagonal, int_kernel, int_rank, row_space_basis
-from .poly import Exponent, MultiPoly, linear_forms, max_root_multiplicity
+from .poly import Exponent, MultiPoly, max_root_multiplicity
 
 
 @dataclass(frozen=True)
@@ -53,20 +55,20 @@ def monomials_of_degree(num_vars: int, degree: int) -> list[Exponent]:
     return sorted(set(out))
 
 
-def derivation_images(n_matrix: RatMatrix) -> list[MultiPoly]:
-    """Images of the coordinate functions under the induced derivation."""
-    return linear_forms(n_matrix.scale(-1).entries, range(n_matrix.cols))
-
-
-def apply_derivation(images: Sequence[MultiPoly], p: MultiPoly) -> MultiPoly:
-    out = MultiPoly.zero(p.num_vars)
-    for i, image in enumerate(images):
-        if image.is_zero():
-            continue
-        partial = p.partial(i)
-        if not partial.is_zero():
-            out = out.add(image.mul(partial))
-    return out
+def apply_derivation(n_matrix: RatMatrix, p: MultiPoly) -> MultiPoly:
+    """Image of p under the derivation induced by n_matrix, by Leibniz term by term."""
+    entries = [(i, j, c) for i, row in enumerate(n_matrix.entries) for j, c in enumerate(row) if c]
+    out: dict[Exponent, Fraction] = {}
+    for exp, c in p.terms.items():
+        for i, j, n in entries:
+            e = exp[i]
+            if e:
+                new = list(exp)
+                new[i] = e - 1
+                new[j] += 1
+                key = tuple(new)
+                out[key] = out.get(key, 0) - e * n * c
+    return MultiPoly(p.num_vars, out)
 
 
 def derivation_on_degree(n_matrix: RatMatrix, degree: int) -> RatMatrix:
@@ -76,9 +78,8 @@ def derivation_on_degree(n_matrix: RatMatrix, degree: int) -> RatMatrix:
     size = n_matrix.rows
     monos = monomials_of_degree(size, degree)
     index = {m: r for r, m in enumerate(monos)}
-    images = derivation_images(n_matrix)
     columns = [
-        _coefficient_row(apply_derivation(images, MultiPoly.monomial(size, mono)), index)
+        _coefficient_row(apply_derivation(n_matrix, MultiPoly.monomial(size, mono)), index)
         for mono in monos
     ]
     return RatMatrix(zip(*columns))
@@ -93,7 +94,7 @@ def _coefficient_row(p: MultiPoly, index: dict[Exponent, int]) -> list[Fraction]
 
 
 def _kernel_on_monomials(
-    operator_images: Sequence[Sequence[MultiPoly]], monos: Sequence[Exponent], num_vars: int
+    operators: Sequence[RatMatrix], monos: Sequence[Exponent], num_vars: int
 ) -> list[Vector]:
     """Joint kernel of derivations restricted to a span of monomials.
 
@@ -103,8 +104,8 @@ def _kernel_on_monomials(
     rows: dict[tuple[int, Exponent], dict[int, Fraction]] = {}
     for c, mono in enumerate(monos):
         p = MultiPoly.monomial(num_vars, mono)
-        for op_index, images in enumerate(operator_images):
-            for exp, coeff in apply_derivation(images, p).terms.items():
+        for op_index, op in enumerate(operators):
+            for exp, coeff in apply_derivation(op, p).terms.items():
                 rows.setdefault((op_index, exp), {})[c] = coeff
     return int_kernel(list(rows.values()), len(monos))
 
@@ -143,11 +144,10 @@ def unipotent_invariants(
             constraints="constants",
             gm_weights=(Fraction(0),) if gm_weights is not None else None,
         )
-    images = [derivation_images(g) for g in u.generators]
     monos = monomials_of_degree(num_vars, degree)
     constraints = f"annihilated by {u.dim} unipotent derivation(s), degree {degree}"
     if gm_weights is None:
-        kernel = _kernel_on_monomials(images, monos, num_vars)
+        kernel = _kernel_on_monomials(u.generators, monos, num_vars)
         basis = _vectors_to_polys(kernel, monos, num_vars)
         return GradedInvariantSpace(degree=degree, basis=tuple(basis), constraints=constraints)
     fn_weights = [-w for w in gm_weights]
@@ -159,7 +159,7 @@ def unipotent_invariants(
     weights: list[Fraction] = []
     for w in sorted(blocks):
         block = blocks[w]
-        kernel = _kernel_on_monomials(images, block, num_vars)
+        kernel = _kernel_on_monomials(u.generators, block, num_vars)
         for p in _vectors_to_polys(kernel, block, num_vars):
             basis.append(p)
             weights.append(Fraction(-w))
@@ -199,11 +199,10 @@ def _weight_zero_invariants(
     against the lowering derivation; the check is an exact assertion,
     not a heuristic.
     """
-    kernel = _kernel_on_monomials([derivation_images(raising)], monos, num_vars)
+    kernel = _kernel_on_monomials([raising], monos, num_vars)
     basis = _vectors_to_polys(kernel, monos, num_vars)
-    f_images = derivation_images(lowering)
     for p in basis:
-        if not apply_derivation(f_images, p).is_zero():
+        if not apply_derivation(lowering, p).is_zero():
             raise AssertionError("weight-0 raising kernel escaped the lowering kernel")
     return basis
 
@@ -295,9 +294,9 @@ def restriction_to_slice(space: GradedInvariantSpace, n: int) -> GradedInvariant
     index = {m: i for i, m in enumerate(monos)}
     echelon = row_space_basis([_coefficient_row(q, index) for q in restricted])
     basis = _vectors_to_polys(echelon, monos, n + 1)
-    ga_images = derivation_images(sym_power_raising(n))
+    raising = sym_power_raising(n)
     for q in basis:
-        if not apply_derivation(ga_images, q).is_zero():
+        if not apply_derivation(raising, q).is_zero():
             raise AssertionError("restricted invariant escaped the additive-group kernel")
     return GradedInvariantSpace(
         degree=b,

@@ -110,17 +110,6 @@ class MultiPoly:
             total += v
         return total
 
-    def partial(self, index: int) -> "MultiPoly":
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            e = exp[index]
-            if e:
-                new = list(exp)
-                new[index] = e - 1
-                key = tuple(new)
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return MultiPoly(self.num_vars, out)
-
     def substitute_constants(self, values: Mapping[int, Fraction]) -> "MultiPoly":
         """Replace the given variables by constants (same num_vars)."""
         out: dict[Exponent, Fraction] = {}
@@ -303,26 +292,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
                 if sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
                     roots.append(cand)
     return sorted(roots)
-
-
-def rational_roots_with_multiplicity(
-    coeffs: Sequence[Fraction],
-) -> list[tuple[Fraction, int]]:
-    """Rational roots with multiplicities, by repeated synthetic division."""
-    out = []
-    for root in rational_roots(coeffs):
-        work = _trim(list(coeffs))
-        mult = 0
-        while work and sum(c * root**i for i, c in enumerate(work)) == 0:
-            quotient = [Fraction(0)] * (len(work) - 1)
-            carry = Fraction(0)
-            for i in range(len(work) - 1, 0, -1):
-                carry = work[i] + carry * root
-                quotient[i - 1] = carry
-            work = _trim(quotient)
-            mult += 1
-        out.append((root, mult))
-    return out
 
 
 def max_root_multiplicity(coeffs: Sequence[Fraction]) -> int:

