@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strata", help="unstable stratification data")
     common(p)
-    p.add_argument("--subset-cap", type=int, default=16)
+    p.add_argument("--subset-cap", type=int, default=0, help="0 = document bound")
 
     p = sub.add_parser("graded", help="graded-unipotent stability report")
     common(p)
@@ -103,6 +103,13 @@ def _parse_chi(text: str | None, rank: int) -> tuple[Fraction, ...]:
     if len(values) != rank:
         raise ParseError(f"twist has {len(values)} entries, torus rank is {rank}")
     return values
+
+
+def _bound(value: int, default: int, flag: str) -> int:
+    """A bound flag's value, where 0 means the default."""
+    if value < 0:
+        raise ParseError(f"{flag} must be nonnegative, got {value}")
+    return value or default
 
 
 def _load_document(args) -> ActionDocument:
@@ -219,7 +226,8 @@ def cmd_chamber(args) -> dict:
 def cmd_strata(args) -> dict:
     doc = _load_document(args)
     chi = _parse_chi(args.chi, doc.action.torus.rank)
-    strat = torus.stratification_indices(doc.action.torus, chi, args.subset_cap)
+    cap = _bound(args.subset_cap, doc.bounds.subset_cap, "--subset-cap")
+    strat = torus.stratification_indices(doc.action.torus, chi, cap)
     indices = [
         {"beta": _frs(idx.beta), "norm_sq": _fr(idx.norm_sq), "supports": [list(s) for s in supports]}
         for idx, supports in strat.assignments
@@ -232,7 +240,7 @@ def cmd_strata(args) -> dict:
     for idx in strat.indices:
         if idx.is_zero():
             continue
-        data = torus.stratum_quotient_data(doc.action.torus, chi, idx, args.subset_cap)
+        data = torus.stratum_quotient_data(doc.action.torus, chi, idx, cap)
         quotients.append(
             {
                 "beta": _frs(idx.beta),
@@ -321,7 +329,7 @@ def cmd_hatstable(args) -> dict:
 def cmd_invariants(args) -> dict:
     if args.sl2:
         n = args.sl2
-        bound = args.max_degree or 6
+        bound = _bound(args.max_degree, 6, "--max-degree")
         dims = []
         for d in range(1, bound + 1):
             space = invariants.sl2_invariants_binary_form(n, d, degree_cap=max(bound, 12))
@@ -344,7 +352,7 @@ def cmd_invariants(args) -> dict:
     action = doc.action
     if action.unipotent is None:
         raise PreconditionError("invariant tables need unipotent data (or use --sl2)")
-    bound = args.max_degree or doc.bounds.max_degree
+    bound = _bound(args.max_degree, doc.bounds.max_degree, "--max-degree")
     gm = action.grading.gm_weights if action.grading is not None else None
     spaces = [
         invariants.unipotent_invariants(action.unipotent, d, gm_weights=gm, degree_cap=bound)

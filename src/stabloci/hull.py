@@ -1,25 +1,25 @@
 """Exact convex geometry for small rational point sets.
 
-Everything is decided by exhaustive enumeration over subsets of the
-input points: the inputs are weight sets of at most a couple of dozen
-points in rank <= 3, where enumeration is both exact and fast.  There
-is no floating-point fallback.
+Everything is decided exactly by enumerating subsets of the input
+points, weight sets of a couple of dozen points in rank <= 3 at most.
+There is no floating-point fallback.
 
-Position of the origin:
-  * membership is decided through the closest point below: the origin
-    lies in the hull iff the closest point of the hull to it is 0;
-  * "interior" means interior relative to the full ambient space, so a
-    lower-dimensional hull containing the origin reports Boundary;
-  * for full-dimensional hulls, a supporting hyperplane through the
-    origin exists iff the polar cone {c : <c,p> >= 0 for all p} is
-    nonzero, and that cone (pointed, because the points span) is probed
-    through its extreme rays, each of which is the kernel of some
-    (r-1)-subset of points of rank r-1.
+Position of the origin: one enumeration of the extreme rays of the
+polar cone C = {c : <c, p> >= 0 for every point p}.  In coordinates of
+the points' row space (rank r; the identity at full rank), which keep
+membership and relative interiority, C is pointed: the cone over its
+extreme rays, each the kernel of an (r-1)-subset that pairs with one
+sign on every point.  No ray means the origin is interior in R^r, so
+interior only at full rank.  By Gordan's theorem the origin is outside
+iff some c pairs strictly positively with every point, i.e. iff C is
+full-dimensional and no point is zero; the sum of the oriented rays is
+such a c exactly when one exists.  Every other case is Boundary.
 
 Closest point to the origin: the minimiser lies in the relative
-interior of the convex hull of some affinely independent subset, so
-projecting the origin onto every affine span and keeping the candidates
-with nonnegative barycentric coordinates finds it exactly.
+interior of the hull of some affinely independent subset, so projecting
+the origin onto every affine span (one solution of the normal equations
+serves a dependent subset too) and keeping the candidates with
+nonnegative barycentric coordinates finds it exactly.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from .linalg import (
     RatMatrix,
     Vector,
     dot,
+    int_kernel,
     is_zero_vec,
-    matrix_rank,
     norm_sq,
-    rref_kernel,
+    row_space_basis,
     solve,
     vec_add,
     vec_scale,
@@ -61,35 +61,34 @@ def _check_points(points: Sequence[Vector]) -> int:
 
 
 def origin_in_hull(points: Sequence[Vector]) -> bool:
-    return is_zero_vec(closest_point_to_origin(points))
-
-
-def _has_supporting_hyperplane(points: Sequence[Vector], dim: int) -> bool:
-    """Is there c != 0 with <c, p> >= 0 for every point?  (points span R^dim)"""
-    nonzero = [p for p in points if not is_zero_vec(p)]
-    if dim == 1:
-        return all(p[0] >= 0 for p in nonzero) or all(p[0] <= 0 for p in nonzero)
-    for subset in combinations(dict.fromkeys(nonzero), dim - 1):
-        kernel = rref_kernel(RatMatrix(subset))
-        if len(kernel) != 1:  # the subset has rank below dim - 1
-            continue
-        c = kernel[0]
-        pairings = [dot(c, p) for p in nonzero]
-        if all(v >= 0 for v in pairings) or all(v <= 0 for v in pairings):
-            return True
-    return False
+    return hull_origin_position(points) is not HullPosition.OUTSIDE
 
 
 def hull_origin_position(points: Sequence[Vector]) -> HullPosition:
     """Classify the origin against the convex hull of the points."""
     dim = _check_points(points)
-    if not origin_in_hull(points):
+    basis = row_space_basis(points)
+    r = len(basis)
+    if r == 0:
+        return HullPosition.BOUNDARY
+    q = [tuple(dot(b, p) for b in basis) for p in points]
+    nonzero = list(dict.fromkeys(x for x in q if not is_zero_vec(x)))
+    ray_sum = zero_vec(r)
+    for subset in combinations(nonzero, r - 1):
+        kernel = int_kernel([dict(enumerate(x)) for x in subset], r)
+        if len(kernel) != 1:  # the subset has rank below r - 1
+            continue
+        c = kernel[0]
+        pairings = [dot(c, x) for x in nonzero]
+        if all(v >= 0 for v in pairings):
+            ray_sum = vec_add(ray_sum, c)
+        elif all(v <= 0 for v in pairings):
+            ray_sum = vec_sub(ray_sum, c)
+    if is_zero_vec(ray_sum):
+        return HullPosition.INTERIOR if r == dim else HullPosition.BOUNDARY
+    if all(dot(ray_sum, x) > 0 for x in q):
         return HullPosition.OUTSIDE
-    if matrix_rank(points) < dim:
-        return HullPosition.BOUNDARY
-    if _has_supporting_hyperplane(points, dim):
-        return HullPosition.BOUNDARY
-    return HullPosition.INTERIOR
+    return HullPosition.BOUNDARY
 
 
 def _project_origin_segment(a: Vector, b: Vector) -> Vector | None:
@@ -115,7 +114,7 @@ def _project_origin_affine(subset: Sequence[Vector]) -> Vector | None:
     gram = [[dot(a, b) for b in diffs] for a in diffs]
     rhs = [-dot(d, t0) for d in diffs]
     mu = solve(RatMatrix(gram), rhs)
-    if mu is None or matrix_rank(diffs) != len(diffs):
+    if mu is None:
         return None
     if any(m < 0 for m in mu) or sum(mu) > 1:
         return None

@@ -92,6 +92,36 @@ def test_exit_code_bounds():
     assert "cap" in out
 
 
+def test_strata_subset_cap_defaults_to_the_document_bound(tmp_path):
+    doc = json.loads((CORPUS / "torus_rank2.json").read_text())
+    doc["n"] = 5
+    doc["torus"]["weights"] += [[2, -1], [-1, 2]]
+    doc["points"] = [{"name": "ones", "coords": ["1"] * 6}]
+    doc["bounds"]["subset_cap"] = 3
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["strata", "--action", str(path)])
+    assert code == EXIT_BOUNDS
+    assert "cap 3" in out
+    code, out = run(["strata", "--action", str(path), "--subset-cap", "6"])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--sl2", "5", "--max-degree", "-2"],
+        ["invariants", "--action", corpus_path("jordan_3.json"), "--max-degree", "-1"],
+        ["strata", "--action", corpus_path("torus_rank2.json"), "--subset-cap", "-1"],
+    ],
+    ids=["sl2_max_degree", "action_max_degree", "subset_cap"],
+)
+def test_negative_bound_is_a_parse_error(argv):
+    code, out = run(argv)
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ")
+
+
 def test_json_byte_identical_across_runs():
     argv = ["graded", "--action", corpus_path("jordan_3.json"), "--chi", "-2", "--seed", "5"]
     first = run(argv)

@@ -11,6 +11,7 @@ Regenerate (only when an output change is intended) with
 
 import json
 import os
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,20 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
         # The hat test sweeps translates of each point at the twist `graded` accepts.
         argvs.append((f"hatstable__{stem}", ["hatstable", "--action", doc, "--q=1/2", *twist]))
         argvs.append((f"chamber__{stem}", ["chamber", "--action", doc]))
+    # Twists that put the origin on a vertex, an edge or inside the hull, on
+    # rank-2 weights and on a line, and a panel with one point per nonempty
+    # coordinate support of the rank-2 action, so lower-rank supports show up.
+    rank2, line = "corpus/torus_rank2.json", "corpus/torus_line.json"
+    argvs.append(("stability_chi_1_0__torus_rank2", ["stability", "--action", rank2, "--chi=1,0"]))
+    argvs.append(("stability_chi_half__torus_rank2", ["stability", "--action", rank2, "--chi=1/2,1/2"]))
+    argvs.append(("stability_chi_m1__torus_line", ["stability", "--action", line, "--chi=-1"]))
+    argvs.append(("stability_chi_2__torus_line", ["stability", "--action", line, "--chi=2"]))
+    panel = ";".join(
+        f"s{''.join(map(str, bits))}:{','.join(map(str, bits))}"
+        for bits in product((0, 1), repeat=4)
+        if any(bits)
+    )
+    argvs.append(("stability_supports__torus_rank2", ["stability", "--action", rank2, "--points", panel]))
     for n in (3, 4, 5, 6, 7):
         argvs.append((f"invariants_sl2__{n}", ["invariants", "--sl2", str(n), "--max-degree", "6"]))
     # Sizes where the derivation and product matrices reach hundreds of columns.

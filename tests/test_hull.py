@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import certify_closest_point, oracle_hull_position, oracle_in_hull
 from stabloci.hull import HullPosition, closest_point_to_origin, hull_origin_position, origin_in_hull
-from stabloci.linalg import dot, norm_sq, vec, vec_sub
+from stabloci.linalg import dot, norm_sq, vec, vec_sub, zero_vec
 
 
 def pts(*rows):
@@ -92,15 +92,33 @@ def test_membership_consistent_with_closest_point():
 
 @st.composite
 def _point_sets(draw):
-    rank = draw(st.integers(1, 3))
-    coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
-    return draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=7))
+    """Points of a random subspace of rank 0..dim in R^dim, dim 1..4, drawn
+    with repeats from a small pool that may hold the zero point."""
+    dim = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, dim))
+    small = st.integers(-2, 2)
+    basis = [vec(draw(st.tuples(*[small] * dim))) for _ in range(rank)]
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    pool = [
+        tuple(sum((c * b[i] for c, b in zip(cs, basis)), Fraction(0)) for i in range(dim))
+        for cs in draw(st.lists(st.tuples(*[coeff] * rank), min_size=max(rank, 1), max_size=rank + 3))
+    ]
+    if draw(st.booleans()):
+        pool.append(zero_vec(dim))
+    repeats = draw(st.lists(st.sampled_from(pool), max_size=2))
+    return draw(st.permutations(pool + repeats))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_point_sets())
 def test_membership_matches_caratheodory_oracle(points):
     assert origin_in_hull(points) == oracle_in_hull(points)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_point_sets())
+def test_position_matches_facet_oracle_at_every_rank(points):
+    assert hull_origin_position(points) == oracle_hull_position(points)
 
 
 def test_empty_input_rejected():
