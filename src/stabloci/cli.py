@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -50,6 +51,7 @@ def _frs(xs) -> list[str]:
     return [_fr(x) for x in xs]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabloci",
@@ -232,9 +234,12 @@ def cmd_strata(args) -> dict:
         {"beta": _frs(idx.beta), "norm_sq": _fr(idx.norm_sq), "supports": [list(s) for s in supports]}
         for idx, supports in strat.assignments
     ]
+    # Panel points are dimension-checked and nonzero at parse time, so
+    # every support is a nonempty subset of the stratified coordinates.
+    index_of = {s: idx for idx, supports in strat.assignments for s in supports}
     rows = []
     for name, p in doc.points:
-        idx = torus.stratum_of(doc.action.torus, chi, p)
+        idx = index_of[p.support()]
         rows.append({"point": name, "beta": _frs(idx.beta), "norm_sq": _fr(idx.norm_sq)})
     quotients = []
     for idx in strat.indices:

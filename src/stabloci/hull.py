@@ -19,7 +19,11 @@ Closest point to the origin: the minimiser lies in the relative
 interior of the hull of some affinely independent subset, so projecting
 the origin onto every affine span (one solution of the normal equations
 serves a dependent subset too) and keeping the candidates with
-nonnegative barycentric coordinates finds it exactly.
+nonnegative barycentric coordinates finds it exactly.  For every subset
+of a point set at once, the closest point of S is either that of a
+one-smaller subset or the projection onto the span of S, which only a
+set of at most dim + 1 points can need; one table built from small
+subsets to large solves each small projection once.
 """
 
 from __future__ import annotations
@@ -79,11 +83,14 @@ def hull_origin_position(points: Sequence[Vector]) -> HullPosition:
         if len(kernel) != 1:  # the subset has rank below r - 1
             continue
         c = kernel[0]
-        pairings = [dot(c, x) for x in nonzero]
-        if all(v >= 0 for v in pairings):
-            ray_sum = vec_add(ray_sum, c)
-        elif all(v <= 0 for v in pairings):
-            ray_sum = vec_sub(ray_sum, c)
+        sign = 0  # the first nonzero pairing; a mixed sign ends the ray
+        for x in nonzero:
+            v = dot(c, x)
+            if v * sign < 0:
+                break
+            sign = sign or v
+        else:
+            ray_sum = vec_sub(ray_sum, c) if sign < 0 else vec_add(ray_sum, c)
     if is_zero_vec(ray_sum):
         return HullPosition.INTERIOR if r == dim else HullPosition.BOUNDARY
     if all(dot(ray_sum, x) > 0 for x in q):
@@ -142,3 +149,45 @@ def closest_point_to_origin(points: Sequence[Vector]) -> Vector:
                 best, best_norm = cand, n
     assert best is not None
     return best
+
+
+def closest_points_by_subset(points: Sequence[Vector]) -> dict[int, tuple[Vector, Fraction]]:
+    """Closest point to 0 and its squared norm for every nonempty subset.
+
+    The points must be distinct; a subset is the bitmask of its indices.
+    The closest point c of S lies in the relative interior of conv(T) for
+    some affinely independent T of at most dim + 1 points.  When T != S,
+    T misses some p and c is the closest point of S - p; since each of
+    those lies in conv(S) and the minimiser is unique, c is the
+    least-norm one.  So every c is the closest point of a subset of at
+    most dim + 1 points.  Those come first, level by level: the closest
+    point c' of S - p is that of S exactly when <c', p> >= |c'|^2 (the
+    variational inequality at p), and when no p passes, T = S and c is
+    the projection of 0 onto the affine span of S.  Ranked by norm, they
+    feed the least-norm recurrence over the larger subsets, which then
+    compares integers only.
+    """
+    dim = _check_points(points)
+    if len(set(points)) != len(points):
+        raise ValueError("points must be distinct")
+    bits = [1 << i for i in range(len(points))]
+    small = {b: (norm_sq(p), p) for b, p in zip(bits, points)}
+    for size in range(2, min(len(points), dim + 1) + 1):
+        for subset in combinations(range(len(points)), size):
+            mask = sum(bits[i] for i in subset)
+            for i in subset:
+                n, c = small[mask ^ bits[i]]
+                if dot(c, points[i]) >= n:
+                    break
+            else:
+                c = _project_origin_affine([points[i] for i in subset])
+                assert c is not None, "the closest point is interior to an independent subset"
+                n = norm_sq(c)
+            small[mask] = (n, c)
+    ranked = sorted(set(small.values()))
+    rank = {entry: r for r, entry in enumerate(ranked)}
+    table: dict[int, int] = {}
+    for mask in range(1, 1 << len(points)):
+        entry = small.get(mask)
+        table[mask] = rank[entry] if entry else min(table[mask ^ b] for b in bits if mask & b)
+    return {mask: (ranked[r][1], ranked[r][0]) for mask, r in table.items()}

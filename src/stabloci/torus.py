@@ -5,6 +5,12 @@ convex hull of its supported, character-twisted weights contains the
 origin (in its interior).  The unstable strata are indexed by the
 closest points to the origin of the hulls of weight subsets; a point
 belongs to the stratum of the closest point of its own supported hull.
+The stratification reads every support's closest point from one table
+over the subsets of the distinct twisted weights
+(`hull.closest_points_by_subset`): a subset's closest point is the
+least-norm closest point of its one-smaller subsets, unless the subset
+has at most rank + 1 weights and the point lies in the relative
+interior of its hull.
 """
 
 from __future__ import annotations
@@ -17,7 +23,12 @@ from typing import Sequence
 
 from .actions import GradingData, ProjectivePoint, TorusWeights
 from .errors import DimensionMismatch, EnumerationBoundExceeded, UnknownIndex
-from .hull import HullPosition, closest_point_to_origin, hull_origin_position
+from .hull import (
+    HullPosition,
+    closest_point_to_origin,
+    closest_points_by_subset,
+    hull_origin_position,
+)
 from .linalg import Vector, dot, norm_sq, vec
 
 
@@ -142,15 +153,6 @@ def limit_point(
     return ProjectivePoint(coords)
 
 
-def _closest_of_support(
-    weights: list[Vector], support: Sequence[int], memo: dict
-) -> Vector:
-    key = frozenset(weights[i] for i in support)
-    if key not in memo:
-        memo[key] = closest_point_to_origin(sorted(key))
-    return memo[key]
-
-
 def _check_subset_cap(a: TorusWeights, subset_cap: int) -> int:
     count = a.n + 1
     if count > subset_cap:
@@ -166,13 +168,17 @@ def stratification_indices(
     """All stratum indices with their admissible coordinate supports."""
     count = _check_subset_cap(a, subset_cap)
     weights = _twisted_weights(a, twist)
-    memo: dict = {}
+    distinct = list(dict.fromkeys(weights))
+    bits = [1 << distinct.index(w) for w in weights]
+    table = closest_points_by_subset(distinct)
     by_beta: dict[Vector, list[tuple[int, ...]]] = {}
     indices = list(range(count))
     for size in range(1, count + 1):
         for support in combinations(indices, size):
-            beta = _closest_of_support(weights, support, memo)
-            by_beta.setdefault(beta, []).append(support)
+            mask = 0
+            for i in support:
+                mask |= bits[i]
+            by_beta.setdefault(table[mask][0], []).append(support)
     strata = sorted(by_beta, key=lambda b: (norm_sq(b), b))
     return Stratification(
         assignments=tuple(

@@ -6,9 +6,10 @@ interiority by full facet enumeration (H-representation): for a
 full-dimensional hull the origin is interior iff every facet hyperplane
 has strictly positive offset.  The closest-point oracle certifies
 optimality through the variational inequality rather than re-running
-any search.  Their linear algebra is a dense Fraction Gauss-Jordan
-elimination kept here as the reference for the library's sparse
-fraction-free core.
+any search.  The stratification oracle runs the library's single-call
+closest-point enumeration once per coordinate support.  Their linear
+algebra is a dense Fraction Gauss-Jordan elimination kept here as the
+reference for the library's sparse fraction-free core.
 
 The polynomial references build what the library avoids building: the
 matrix exp(sN) with polynomial entries for unipotent translates, the
@@ -21,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from stabloci.hull import HullPosition
-from stabloci.linalg import RatMatrix, dot, is_zero_vec, vec_sub
+from stabloci.hull import HullPosition, closest_point_to_origin
+from stabloci.linalg import RatMatrix, dot, is_zero_vec, norm_sq, vec_sub
 from stabloci.poly import MultiPoly, rational_roots
 
 
@@ -150,6 +151,28 @@ def certify_closest_point(points, candidate) -> bool:
     if not oracle_in_hull(shifted):
         return False
     return all(dot(candidate, s) >= 0 for s in shifted)
+
+
+def reference_stratification(weights):
+    """(beta, |beta|^2, supports) for every stratum index of the weights.
+
+    One `closest_point_to_origin` enumeration per distinct set of
+    supported weights, supports listed by size then lexicographically
+    and indices sorted by (|beta|^2, beta): the stratification as it was
+    computed before the closest points came from one subset table.
+    """
+    memo = {}
+    by_beta = {}
+    for size in range(1, len(weights) + 1):
+        for support in combinations(range(len(weights)), size):
+            key = frozenset(weights[i] for i in support)
+            if key not in memo:
+                memo[key] = closest_point_to_origin(sorted(key))
+            by_beta.setdefault(memo[key], []).append(support)
+    return [
+        (beta, norm_sq(beta), tuple(by_beta[beta]))
+        for beta in sorted(by_beta, key=lambda b: (norm_sq(b), b))
+    ]
 
 
 def _exp_nilpotent_poly(n_matrix, var_index, num_vars):

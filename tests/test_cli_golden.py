@@ -1,4 +1,5 @@
-"""Byte-for-byte replay of recorded CLI runs over the committed corpus.
+"""Byte-for-byte replay of recorded CLI runs over the committed corpus
+and the larger torus documents kept beside the recordings.
 
 `tests/golden/cli/cases.json` lists each recorded run (argv and exit
 code); `<name>.out` holds the exact bytes the CLI printed.  Refactors of
@@ -75,6 +76,35 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
         if any(bits)
     )
     argvs.append(("stability_supports__torus_rank2", ["stability", "--action", rank2, "--points", panel]))
+    # Ten weights at rank 2 and 3, one of them repeated, with panels that
+    # put the repeated weight in and out of the support.
+    argvs.append(
+        (
+            "strata_ten__torus_rank2",
+            [
+                "strata",
+                "--action",
+                "tests/golden/cli/torus_rank2_ten.json",
+                "--chi=1/2,0",
+                "--points",
+                "rep:1,0,0,0,0,0,0,0,1,0;twin:0,0,0,0,0,0,0,0,1,1;tri:0,1,1,1,0,0,0,0,0,0;"
+                "mixed:1/2,0,-3,0,0,7,0,0,0,0;last:0,0,0,0,0,0,0,0,0,2",
+            ],
+        )
+    )
+    argvs.append(
+        (
+            "strata_ten__torus_rank3",
+            [
+                "strata",
+                "--action",
+                "tests/golden/cli/torus_rank3_ten.json",
+                "--points",
+                "rep:0,1,0,0,0,0,0,0,1,0;tet:1,1,1,1,0,0,0,0,0,0;plane:1,1,0,0,1,0,0,0,0,0;"
+                "mixed:0,0,2,0,-1/3,5,0,0,0,1;lone:0,0,0,0,0,0,0,1,0,0",
+            ],
+        )
+    )
     for n in (3, 4, 5, 6, 7):
         argvs.append((f"invariants_sl2__{n}", ["invariants", "--sl2", str(n), "--max-degree", "6"]))
     # Sizes where the derivation and product matrices reach hundreds of columns.

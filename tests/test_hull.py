@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import certify_closest_point, oracle_hull_position, oracle_in_hull
-from stabloci.hull import HullPosition, closest_point_to_origin, hull_origin_position, origin_in_hull
+from stabloci.hull import (
+    HullPosition,
+    closest_point_to_origin,
+    closest_points_by_subset,
+    hull_origin_position,
+    origin_in_hull,
+)
 from stabloci.linalg import dot, norm_sq, vec, vec_sub, zero_vec
 
 
@@ -37,6 +43,18 @@ def test_position_more_shapes():
 def test_closest_point_examples():
     assert closest_point_to_origin(pts([1], [3])) == (Fraction(1),)
     assert closest_point_to_origin(pts([-1], [1])) == (Fraction(0),)
+
+
+def test_closest_points_by_subset_examples():
+    table = closest_points_by_subset(pts([2, 0], [0, 2], [-1, -1], [1, 1]))
+    assert table[0b0001] == (vec([2, 0]), 4)
+    assert table[0b0011] == (vec([1, 1]), 2)  # an edge's interior point
+    assert table[0b1011] == (vec([1, 1]), 2)  # kept when [1, 1] joins
+    assert table[0b0111] == (zero_vec(2), 0)
+    assert table[0b1100] == (zero_vec(2), 0)
+    assert len(table) == 15
+    with pytest.raises(ValueError):
+        closest_points_by_subset(pts([1, 0], [1, 0]))
 
 
 def test_closest_point_segment_by_grid_refinement_oracle():

@@ -1,5 +1,6 @@
 """Torus verdicts, chambers, limits, and the unstable stratification."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import certify_closest_point
+from oracles import certify_closest_point, reference_stratification
 from stabloci.actions import GradingData, ProjectivePoint, TorusWeights
 from stabloci.errors import EnumerationBoundExceeded, UnknownIndex
-from stabloci.hull import HullPosition, closest_point_to_origin
+from stabloci.hull import HullPosition, closest_point_to_origin, closest_points_by_subset
 from stabloci.linalg import dot, norm_sq, vec, vec_add, vec_sub, zero_vec
 from stabloci.torus import (
     Chamber,
@@ -229,6 +230,34 @@ def test_stratification_matches_per_subset_oracle_and_closure():
                     assert support_norm[sub] >= nsq
 
 
+FOURTEEN_RANK_TWO = (
+    (3, 0), (0, 2), (-2, 1), (-1, -3), (2, -2), (1, 4), (-4, 0),
+    (0, -1), (5, 2), (-3, 3), (2, 1), (-1, 5), (4, -3), (1, 1),
+)
+# sha256 of the canonical text of this stratification, recorded with the
+# per-support closest-point enumeration.
+FOURTEEN_RANK_TWO_DIGEST = "f3b0982932e1804013f05ccc89ed1f69f44ee77643e59e0510cda49697fa69ff"
+
+
+def test_stratification_partitions_fourteen_rank_two_weights():
+    weights = [vec(w) for w in FOURTEEN_RANK_TWO]
+    strat = stratification_indices(TorusWeights(rank=2, weights=FOURTEEN_RANK_TWO), zero_vec(2))
+    supports = [s for _, group in strat.assignments for s in group]
+    assert len(supports) == len(set(supports)) == 2 ** len(weights) - 1
+    for _, group in strat.assignments:
+        assert list(group) == sorted(group, key=lambda s: (len(s), s))
+    norms = [idx.norm_sq for idx in strat.indices]
+    assert norms == sorted(norms)
+    rng = random.Random(14)
+    for idx, group in strat.assignments:
+        for support in rng.sample(group, min(3, len(group))):
+            assert closest_point_to_origin([weights[i] for i in support]) == idx.beta
+    text = "\n".join(
+        f"{' '.join(map(str, idx.beta))};{idx.norm_sq};{group}" for idx, group in strat.assignments
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == FOURTEEN_RANK_TWO_DIGEST
+
+
 _small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
@@ -261,8 +290,8 @@ def _torus_with_candidates(draw):
 def test_stratum_quotient_data_matches_enumeration_oracle(case):
     """Level-set index test against the full 2^N-subset enumeration."""
     tw, twist, candidates = case
-    oracle = stratification_indices(tw, twist).indices
     twisted = [vec_sub(vec(w), twist) for w in tw.weights]
+    oracle = [StratumIndex(beta, nsq) for beta, nsq, _ in reference_stratification(twisted)]
     for idx in candidates:
         if idx not in oracle or idx.is_zero():
             with pytest.raises(UnknownIndex):
@@ -278,3 +307,32 @@ def test_stratum_quotient_data_matches_enumeration_oracle(case):
         delta = (above[0] - nsq) / (2 * nsq) if above else Fraction(0)
         assert data.delta == delta
         assert data.adapted_twist == tuple((1 + delta) * b for b in idx.beta)
+
+
+@st.composite
+def _weights_with_twist(draw):
+    """Up to 8 weights of rank 1-3 drawn with replacement, and a twist."""
+    rank = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 8))
+    pool = [tuple(draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(draw(st.integers(1, count)))]
+    repeats = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(count - len(pool))]
+    weights = tuple(draw(st.permutations(pool + repeats)))
+    twist = draw(st.one_of(st.just(zero_vec(rank)), st.tuples(*[_small_fraction] * rank)))
+    return TorusWeights(rank=rank, weights=weights), twist
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weights_with_twist())
+def test_stratification_matches_per_support_enumeration(case):
+    """The subset table against one closest-point enumeration per subset."""
+    tw, twist = case
+    twisted = [vec_sub(vec(w), twist) for w in tw.weights]
+    strat = stratification_indices(tw, twist)
+    got = [(idx.beta, idx.norm_sq, supports) for idx, supports in strat.assignments]
+    assert got == reference_stratification(twisted)
+    distinct = list(dict.fromkeys(twisted))
+    table = closest_points_by_subset(distinct)
+    assert sorted(table) == list(range(1, 2 ** len(distinct)))
+    for mask, (beta, nsq) in table.items():
+        expected = closest_point_to_origin([p for i, p in enumerate(distinct) if mask >> i & 1])
+        assert beta == expected and nsq == norm_sq(expected)
