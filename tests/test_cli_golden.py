@@ -105,6 +105,18 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
             ],
         )
     )
+    # Ten rank-4 weights, one repeated: the untwisted panel reaches every
+    # position, the midpoint twist moves the origin onto a facet of some
+    # supports, and the twist equal to the repeated weight puts the zero
+    # point twice into every support that holds it.
+    rank4 = "tests/golden/cli/torus_rank4_ten.json"
+    panel4 = (
+        "simplex:1,1,1,1,1,0,0,0,0,0;flat:0,0,2,-1,1/2,0,0,0,3,0;corner:1,1,1,1,0,0,0,0,0,0;"
+        "edge:1,0,0,-1,0,0,0,0,0,0;wide:1,1/3,1,0,0,0,0,0,-2,1;rep:0,1,0,0,0,0,1,0,0,0;"
+        "trio:0,5,0,0,1,0,-1,0,1,0;spread:1,0,1,0,1,1,0,1,0,1"
+    )
+    for name, twist in (("zero", []), ("mid", ["--chi=1/2,0,0,1/2"]), ("rep", ["--chi=0,1,0,0"])):
+        argvs.append((f"stability_{name}__torus_rank4", ["stability", "--action", rank4, *twist, "--points", panel4]))
     for n in (3, 4, 5, 6, 7):
         argvs.append((f"invariants_sl2__{n}", ["invariants", "--sl2", str(n), "--max-degree", "6"]))
     # Sizes where the derivation and product matrices reach hundreds of columns.
