@@ -146,9 +146,15 @@ class WeightedAction:
                 if g.rows != n + 1:
                     raise DimensionMismatch("generator size differs from n+1")
             if self.grading is not None:
-                d = block_diagonal([RatMatrix([[w]]) for w in self.grading.gm_weights])
+                # [diag(d), N] has entries (d_i - d_j) N_ij, so it is w N
+                # exactly when d_i - d_j = w wherever N_ij is nonzero.
+                d = self.grading.gm_weights
                 for g, w in zip(self.unipotent.generators, self.unipotent.grading_weights):
-                    if d.commutator(g) != g.scale(Fraction(w)):
+                    if any(
+                        x and d[i] - d[j] != w
+                        for i, row in enumerate(g.entries)
+                        for j, x in enumerate(row)
+                    ):
                         raise GradingCommutationFailure(
                             f"[diag(grading), N] != {w} N for a generator"
                         )
@@ -251,6 +257,8 @@ def parse_document(text: str) -> ActionDocument:
                 if not isinstance(row, list):
                     raise MalformedDocument("generator row must be a list")
                 rows.append([parse_fraction(x) for x in row])
+            if len({len(row) for row in rows}) > 1:
+                raise MalformedDocument("generator rows differ in length")
             gens.append(RatMatrix(rows))
         unipotent = UnipotentData(generators=tuple(gens), grading_weights=tuple(adj))
 

@@ -5,15 +5,26 @@ points, weight sets of a couple of dozen points in rank <= 3 at most.
 There is no floating-point fallback.
 
 Position of the origin: one enumeration of the extreme rays of the
-polar cone C = {c : <c, p> >= 0 for every point p}.  In coordinates of
-the points' row space (rank r; the identity at full rank), which keep
-membership and relative interiority, C is pointed: the cone over its
-extreme rays, each the kernel of an (r-1)-subset that pairs with one
-sign on every point.  No ray means the origin is interior in R^r, so
-interior only at full rank.  By Gordan's theorem the origin is outside
-iff some c pairs strictly positively with every point, i.e. iff C is
-full-dimensional and no point is zero; the sum of the oriented rays is
-such a c exactly when one exists.  Every other case is Boundary.
+polar cone C = {c : <c, p> >= 0 for every point p}, in integers only.
+Scaling a point by a positive number changes neither C nor the origin's
+position, so each point is replaced by its primitive integer vector,
+which also merges p with 2p.  Coordinates of the points' row space
+(rank r) keep membership and relative interiority: at full rank the
+vectors themselves, at lower rank their products with any integer
+basis of the row space (the reduced echelon rows made primitive), as
+p -> Bp is injective on the row space.  There C is pointed: the cone
+over its extreme rays, each orthogonal to an (r-1)-subset that pairs
+with one sign on every point.  The ray of a subset is its generalised
+cross product, the signed (r-1)-minors from a fraction-free Bareiss
+determinant, which vanish exactly when the subset has rank below r - 1;
+at r = 1 the empty subset gives the ray (1).  No ray means the origin is
+interior in R^r, so interior only at full rank.  By Gordan's theorem
+the origin is outside iff some c pairs strictly positively with every
+point, i.e. iff C is full-dimensional and no point is zero.  A positive
+combination of the oriented extreme rays of a full-dimensional pointed
+cone lies in its interior, so their sum is such a c exactly when one
+exists, whatever positive integer scale each ray carries.  Every other
+case is Boundary.
 
 Closest point to the origin: the minimiser lies in the relative
 interior of the hull of some affinely independent subset, so projecting
@@ -37,10 +48,10 @@ from .linalg import (
     RatMatrix,
     Vector,
     dot,
-    int_kernel,
-    is_zero_vec,
+    int_det,
     norm_sq,
-    row_space_basis,
+    primitive_int_vec,
+    rref,
     solve,
     vec_add,
     vec_scale,
@@ -71,31 +82,46 @@ def origin_in_hull(points: Sequence[Vector]) -> bool:
 def hull_origin_position(points: Sequence[Vector]) -> HullPosition:
     """Classify the origin against the convex hull of the points."""
     dim = _check_points(points)
-    basis = row_space_basis(points)
+    prim = dict.fromkeys(map(primitive_int_vec, points))
+    q = [p for p in prim if any(p)]
+    has_zero = len(q) < len(prim)
+    basis = rref(q)[0]
     r = len(basis)
     if r == 0:
         return HullPosition.BOUNDARY
-    q = [tuple(dot(b, p) for b in basis) for p in points]
-    nonzero = list(dict.fromkeys(x for x in q if not is_zero_vec(x)))
-    ray_sum = zero_vec(r)
-    for subset in combinations(nonzero, r - 1):
-        kernel = int_kernel([dict(enumerate(x)) for x in subset], r)
-        if len(kernel) != 1:  # the subset has rank below r - 1
+    if r < dim:
+        basis = [primitive_int_vec(b) for b in basis]
+        q = [tuple(_idot(b, p) for b in basis) for p in q]
+    ray_sum = [0] * r
+    for subset in combinations(q, r - 1):
+        c = _cross(subset, r)
+        if not any(c):  # the subset has rank below r - 1
             continue
-        c = kernel[0]
         sign = 0  # the first nonzero pairing; a mixed sign ends the ray
-        for x in nonzero:
-            v = dot(c, x)
+        for x in q:
+            v = _idot(c, x)
             if v * sign < 0:
                 break
             sign = sign or v
         else:
-            ray_sum = vec_sub(ray_sum, c) if sign < 0 else vec_add(ray_sum, c)
-    if is_zero_vec(ray_sum):
+            ray_sum = [a + b if sign > 0 else a - b for a, b in zip(ray_sum, c)]
+    if not any(ray_sum):
         return HullPosition.INTERIOR if r == dim else HullPosition.BOUNDARY
-    if all(dot(ray_sum, x) > 0 for x in q):
+    if not has_zero and all(_idot(ray_sum, x) > 0 for x in q):
         return HullPosition.OUTSIDE
     return HullPosition.BOUNDARY
+
+
+def _idot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _cross(subset: Sequence[Sequence[int]], r: int) -> list[int]:
+    """Generalised cross product of r - 1 integer vectors in Z^r: the signed
+    (r-1)-minors, so <c, x> = det[x; subset].  It is orthogonal to every
+    vector of the subset, and zero exactly when they are dependent."""
+    minors = [int_det([row[:j] + row[j + 1 :] for row in subset]) for j in range(r)]
+    return [-m if j & 1 else m for j, m in enumerate(minors)]
 
 
 def _project_origin_segment(a: Vector, b: Vector) -> Vector | None:

@@ -11,7 +11,9 @@ Markowitz 1957), and `_reduce` turns that into the reduced echelon
 form.  The dense readers (`rref`, `rref_kernel`, `solve`, `matrix_rank`,
 `row_space_basis`) serve the tiny hull and grading matrices; the sparse
 ones (`int_kernel`, `int_rank`) serve the invariant-ring matrices, which
-reach hundreds of rows and columns with a few nonzeros per row.
+reach hundreds of rows and columns with a few nonzeros per row.  The
+hull classifier works on primitive integer vectors (`primitive_int_vec`)
+and takes small integer determinants by Bareiss elimination (`int_det`).
 """
 
 from __future__ import annotations
@@ -55,6 +57,35 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
 
+def primitive_int_vec(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of v: v times the lcm of its
+    denominators, over the gcd of the result; the zero vector stays zero."""
+    denom = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (denom // x.denominator) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination: every division is exact, so entries stay integers."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        p = m[k][k]
+        for i in range(k + 1, n):
+            a = m[i][k]
+            m[i] = [0] * (k + 1) + [(p * x - a * y) // prev for x, y in zip(m[i][k + 1 :], m[k][k + 1 :])]
+        prev = p
+    return sign * m[-1][-1] if n else 1
+
+
 class RatMatrix:
     """Immutable matrix of Fractions, row-major."""
 
@@ -89,20 +120,20 @@ class RatMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def sub(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(vec_sub(a, b) for a, b in zip(self.entries, other.entries))
-
-    def scale(self, c: Fraction) -> "RatMatrix":
-        return RatMatrix(vec_scale(Fraction(c), r) for r in self.entries)
-
     def mul(self, other: "RatMatrix") -> "RatMatrix":
+        """The product, summed over the nonzero entries of both factors."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        cols = [other.col(j) for j in range(other.cols)]
-        return RatMatrix([[dot(r, c) for c in cols] for r in self.entries])
+        nonzero = [[(j, b) for j, b in enumerate(r) if b] for r in other.entries]
+        rows = []
+        for r in self.entries:
+            out = [Fraction(0)] * other.cols
+            for a, row in zip(r, nonzero):
+                if a:
+                    for j, b in row:
+                        out[j] += a * b
+            rows.append(out)
+        return RatMatrix(rows)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if self.cols != len(v):
@@ -129,9 +160,6 @@ class RatMatrix:
         if self.rows != self.cols:
             return False
         return self.power(self.rows).is_zero()
-
-    def commutator(self, other: "RatMatrix") -> "RatMatrix":
-        return self.mul(other).sub(other.mul(self))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RatMatrix) and self.entries == other.entries

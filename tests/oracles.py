@@ -9,7 +9,9 @@ optimality through the variational inequality rather than re-running
 any search.  The stratification oracle runs the library's single-call
 closest-point enumeration once per coordinate support.  Their linear
 algebra is a dense Fraction Gauss-Jordan elimination kept here as the
-reference for the library's sparse fraction-free core.
+reference for the library's sparse fraction-free core; the dense matrix
+product and commutator are the references for the library's sparse
+product and its entrywise grading check.
 
 The polynomial references build what the library avoids building: the
 matrix exp(sN) with polynomial entries for unipotent translates, the
@@ -23,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from stabloci.hull import HullPosition, closest_point_to_origin
-from stabloci.linalg import RatMatrix, dot, is_zero_vec, norm_sq, vec_sub
+from stabloci.linalg import dot, is_zero_vec, norm_sq, vec_sub
 from stabloci.poly import MultiPoly, rational_roots
 
 
@@ -175,6 +177,22 @@ def reference_stratification(weights):
     ]
 
 
+def reference_matmul(a, b):
+    """Dense row-by-column product of two matrices given as lists of rows."""
+    return [
+        [sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def reference_commutator(a, b):
+    """ab - ba for square matrices given as lists of rows."""
+    return [
+        [x - y for x, y in zip(r, s)]
+        for r, s in zip(reference_matmul(a, b), reference_matmul(b, a))
+    ]
+
+
 def _exp_nilpotent_poly(n_matrix, var_index, num_vars):
     """Matrix of exp(s * N) with entries polynomial in variable `var_index`."""
     size = n_matrix.rows
@@ -182,11 +200,11 @@ def _exp_nilpotent_poly(n_matrix, var_index, num_vars):
         [MultiPoly.const(num_vars, 1) if i == j else MultiPoly.zero(num_vars) for j in range(size)]
         for i in range(size)
     ]
-    power = RatMatrix.identity(size)
+    power = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
     factorial = 1
     for k in range(1, size):
-        power = power.mul(n_matrix)
-        if power.is_zero():
+        power = reference_matmul(power, n_matrix.entries)
+        if all(c == 0 for row in power for c in row):
             break
         factorial *= k
         exp = [0] * num_vars
@@ -194,7 +212,7 @@ def _exp_nilpotent_poly(n_matrix, var_index, num_vars):
         s_k = MultiPoly.monomial(num_vars, tuple(exp), Fraction(1, factorial))
         for i in range(size):
             for j in range(size):
-                c = power.entry(i, j)
+                c = power[i][j]
                 if c != 0:
                     result[i][j] = result[i][j].add(s_k.scale(c))
     return result

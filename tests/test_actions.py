@@ -2,14 +2,19 @@
 document round-trips, and rejection of malformed inputs."""
 
 import json
+import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from oracles import reference_commutator, reference_matmul
 from stabloci.actions import (
     ActionDocument,
+    GradingData,
     ProjectivePoint,
+    TorusWeights,
     UnipotentData,
     WeightedAction,
     aut_p112_example,
@@ -28,6 +33,8 @@ from stabloci.errors import (
 )
 from stabloci.linalg import RatMatrix
 from stabloci.poly import MultiPoly
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def sym_power_matrix_oracle(k: int) -> RatMatrix:
@@ -191,6 +198,66 @@ def test_parse_rejects_bad_commutation():
     )
     with pytest.raises(GradingCommutationFailure):
         parse_document(text)
+
+
+def test_parse_rejects_ragged_generator_rows():
+    raw = json.loads((CORPUS / "jordan_3.json").read_text())
+    raw["unipotent"]["generators"][0][1].pop()
+    with pytest.raises(MalformedDocument, match="rows differ in length"):
+        parse_document(json.dumps(raw))
+
+
+def _random_square(rng: random.Random, size: int, nilpotent: bool) -> list[list[Fraction]]:
+    """Dense random entries, or strictly upper triangular ones under a random
+    permutation of the coordinates; both with a share of zero entries."""
+    perm = list(range(size))
+    rng.shuffle(perm)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if (i < j or not nilpotent) and rng.random() < 0.6:
+                rows[perm[i]][perm[j]] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rows
+
+
+def test_is_nilpotent_matches_dense_power_oracle():
+    rng = random.Random(41)
+    for trial in range(300):
+        size = rng.randint(1, 6)
+        rows = _random_square(rng, size, nilpotent=trial % 2 == 0)
+        power = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+        for _ in range(size):
+            power = reference_matmul(power, rows)
+        assert RatMatrix(rows).is_nilpotent() == all(x == 0 for r in power for x in r)
+
+
+def test_grading_check_matches_dense_commutator_oracle():
+    """Generators whose entries all raise the grading, so they are
+    nilpotent: mostly by exactly w, sometimes by another amount.  The
+    check fails exactly when the dense [diag(d), N] differs from w N."""
+    rng = random.Random(43)
+    outcomes = []
+    for _ in range(300):
+        size = rng.randint(2, 6)
+        d = [rng.randint(-3, 3) for _ in range(size)]
+        w = rng.randint(1, 3)
+        rows = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(size):
+                if d[i] > d[j] and rng.random() < (0.7 if d[i] - d[j] == w else 0.1):
+                    rows[i][j] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+        diag = [[Fraction(d[i] if i == j else 0) for j in range(size)] for i in range(size)]
+        consistent = reference_commutator(diag, rows) == [[w * x for x in r] for r in rows]
+        outcomes.append(consistent)
+        torus = TorusWeights(rank=1, weights=tuple((x,) for x in d))
+        grading = GradingData(gm_weights=tuple(d))
+        unipotent = UnipotentData(generators=(RatMatrix(rows),), grading_weights=(w,))
+        if consistent:
+            WeightedAction(torus=torus, grading=grading, unipotent=unipotent)
+        else:
+            with pytest.raises(GradingCommutationFailure):
+                WeightedAction(torus=torus, grading=grading, unipotent=unipotent)
+    assert 50 < sum(outcomes) < 250
 
 
 def test_parse_rejects_nonpositive_adjoint_weight():

@@ -241,3 +241,14 @@ def test_torus_twist_takes_one_chi_entry_per_rank():
         assert run([command, "--action", doc, "--chi", "1/3,-1"])[0] == EXIT_OK
         code, out = run([command, "--action", doc, "--chi", "1,2,3"])
         assert code == EXIT_PARSE and "3 entries" in out
+
+
+@pytest.mark.parametrize("command", ["stability", "graded", "hatstable", "invariants", "strata"])
+def test_ragged_generator_rows_are_a_parse_error(tmp_path, command):
+    raw = json.loads((CORPUS / "jordan_3.json").read_text())
+    raw["unipotent"]["generators"][0][1].pop()
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(raw))
+    code, out = run([command, "--action", str(path)])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ")

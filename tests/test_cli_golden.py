@@ -116,7 +116,8 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
         "trio:0,5,0,0,1,0,-1,0,1,0;spread:1,0,1,0,1,1,0,1,0,1"
     )
     for name, twist in (("zero", []), ("mid", ["--chi=1/2,0,0,1/2"]), ("rep", ["--chi=0,1,0,0"])):
-        argvs.append((f"stability_{name}__torus_rank4", ["stability", "--action", rank4, *twist, "--points", panel4]))
+        argv = ["stability", "--action", rank4, *twist, "--points", panel4]
+        argvs.append((f"stability_{name}__torus_rank4", argv))
     for n in (3, 4, 5, 6, 7):
         argvs.append((f"invariants_sl2__{n}", ["invariants", "--sl2", str(n), "--max-degree", "6"]))
     # Sizes where the derivation and product matrices reach hundreds of columns.

@@ -142,3 +142,40 @@ def test_position_matches_facet_oracle_at_every_rank(points):
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         hull_origin_position([])
+
+
+@st.composite
+def _wide_point_sets(draw):
+    """Points of a random subspace of rank 0..dim (half of the time dim) in
+    R^dim, dim 1..6.  Each point is a small combination of a small basis,
+    so the origin lands on faces, times a positive scale with numerator up
+    to 10^6 and denominator up to 10^4.  A point opposite the sum of the
+    others may join, which puts the origin in the relative interior; a
+    point may come back doubled, and the zero point may join."""
+    dim = draw(st.integers(1, 6))
+    rank = dim if draw(st.booleans()) else draw(st.integers(0, dim - 1))
+    small = st.integers(-3, 3)
+    basis = [draw(st.tuples(*[small] * dim)) for _ in range(rank)]
+    coeff = st.integers(-2, 2)
+    scale = st.fractions(min_value=Fraction(1, 10**4), max_value=10**6, max_denominator=10**4)
+
+    def scaled(v):
+        s = draw(scale)
+        return tuple(s * x for x in v)
+
+    pool = [
+        scaled([sum(c * b[i] for c, b in zip(cs, basis)) for i in range(dim)])
+        for cs in draw(st.lists(st.tuples(*[coeff] * rank), min_size=max(rank, 1), max_size=rank + 1))
+    ]
+    if draw(st.booleans()):
+        pool.append(scaled([-sum(x) for x in zip(*pool)]))
+    doubled = [tuple(2 * x for x in p) for p in draw(st.lists(st.sampled_from(pool), max_size=1))]
+    if draw(st.booleans()):
+        pool.append(zero_vec(dim))
+    return draw(st.permutations(pool + doubled))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_point_sets())
+def test_position_matches_facet_oracle_up_to_dimension_six(points):
+    assert hull_origin_position(points) == oracle_hull_position(points)

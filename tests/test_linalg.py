@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,9 +8,11 @@ from hypothesis import strategies as st
 from oracles import reference_kernel, reference_rank, reference_row_space, reference_rref, reference_solve
 from stabloci.linalg import (
     RatMatrix,
+    int_det,
     int_kernel,
     int_rank,
     matrix_rank,
+    primitive_int_vec,
     row_space_basis,
     rref,
     rref_kernel,
@@ -185,3 +189,36 @@ def test_matrix_vector_linearity(row, v):
     m = RatMatrix([row, [0, 0]])
     doubled = m.mul_vec([2 * x for x in v])
     assert doubled == tuple(2 * y for y in m.mul_vec(v))
+
+
+def _leibniz_det(m):
+    total = 0
+    for perm in permutations(range(len(m))):
+        term = -1 if sum(perm[i] > perm[j] for i, j in combinations(range(len(m)), 2)) % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_int_det_matches_leibniz_expansion(m):
+    # small entries make zero pivots and singular matrices common
+    assert int_det(m) == _leibniz_det(m)
+
+
+@given(st.lists(rationals, min_size=1, max_size=5))
+def test_primitive_int_vec_is_a_positive_multiple(v):
+    p = primitive_int_vec(v)
+    assert all(isinstance(x, int) for x in p)
+    if not any(v):
+        assert p == (0,) * len(v)
+        return
+    assert gcd(*p) == 1
+    t = next(Fraction(a) / b for a, b in zip(p, v) if b)
+    assert t > 0 and tuple(t * x for x in v) == p
