@@ -126,6 +126,14 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
     argvs.append(
         ("invariants_d10__jordan_3", ["invariants", "--action", "corpus/jordan_3.json", "--max-degree", "10"])
     )
+    # A graded generator whose entries have different denominators (1/2, 2/3,
+    # -3/5, 7/4), so the derivation rows start out rational.
+    argvs.append(
+        (
+            "invariants__rational_jordan",
+            ["invariants", "--action", "tests/golden/cli/rational_jordan.json", "--max-degree", "8"],
+        )
+    )
     return argvs
 
 
