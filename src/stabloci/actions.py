@@ -265,7 +265,10 @@ def parse_document(text: str) -> ActionDocument:
     action = WeightedAction(torus=torus, grading=grading, unipotent=unipotent, label=label)
 
     points: list[tuple[str, ProjectivePoint]] = []
-    for praw in raw.get("points", []):
+    points_raw = raw.get("points")
+    if points_raw is not None and not isinstance(points_raw, list):
+        raise MalformedDocument("key 'points' in document must be a list")
+    for praw in points_raw or []:
         name, coords = parse_point_entry(praw)
         if len(coords) != n + 1:
             raise DimensionMismatch(f"point {name!r} has {len(coords)} coordinates, expected {n + 1}")

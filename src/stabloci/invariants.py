@@ -10,8 +10,20 @@ space induces the derivation  x_i -> -sum_j N[i][j] x_j  on coordinate
 functions (the negative transpose action), extended by Leibniz.  It is
 applied term by term through the nonzero entries of N: a term c x^e
 gains  -e_i N[i][j] c x^(e - u_i + u_j)  for each N[i][j] != 0, u_i
-the i-th unit exponent.  All weight bookkeeping below uses the induced
-function weights, which are the negatives of the coordinate weights.
+the i-th unit exponent.  That one step, `_leibniz`, serves every image:
+`apply_derivation` sums it over a polynomial's terms, and the kernel
+builder writes it straight into the rows of the kernel matrix.  Each
+caller lists the nonzero entries of N once, not once per monomial.
+
+The kernel rows are integers.  Each operator is first multiplied by the
+lcm of its entries' denominators; a nonzero multiple of a derivation has
+the same kernel, so the joint kernel, and with it the reduced echelon
+basis that `linalg.int_kernel` returns, does not change.  The SL(2)
+lowering check runs on integers too, on each kernel vector's primitive
+integer multiple, which is zero exactly when the vector's image is.
+
+All weight bookkeeping below uses the induced function weights, which
+are the negatives of the coordinate weights.
 """
 
 from __future__ import annotations
@@ -19,12 +31,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .actions import ProjectivePoint, UnipotentData, sym_power_raising
 from .errors import DegreeBoundExceeded, DimensionMismatch, ZeroForm
-from .linalg import RatMatrix, Vector, block_diagonal, int_kernel, int_rank, row_space_basis
+from .linalg import (
+    RatMatrix,
+    Vector,
+    block_diagonal,
+    int_kernel,
+    int_rank,
+    primitive_int_vec,
+    row_space_basis,
+)
 from .poly import Exponent, MultiPoly, max_root_multiplicity
+
+Entries = Sequence[tuple[int, int, Fraction | int]]
 
 
 @dataclass(frozen=True)
@@ -50,25 +74,48 @@ def monomials_of_degree(num_vars: int, degree: int) -> list[Exponent]:
         for i in combo:
             exp[i] += 1
         out.append(tuple(exp))
-    if degree == 0:
-        out = [(0,) * num_vars]
-    return sorted(set(out))
+    return sorted(out)
+
+
+def _nonzero_entries(n_matrix: RatMatrix) -> list[tuple[int, int, Fraction]]:
+    return [(i, j, c) for i, row in enumerate(n_matrix.entries) for j, c in enumerate(row) if c]
+
+
+def _integer_entries(n_matrix: RatMatrix) -> list[tuple[int, int, int]]:
+    """The nonzero entries of n_matrix times the lcm of their denominators."""
+    entries = _nonzero_entries(n_matrix)
+    scale = lcm(*(c.denominator for _, _, c in entries))
+    return [(i, j, c.numerator * (scale // c.denominator)) for i, j, c in entries]
+
+
+def _leibniz(entries: Entries, exp: Exponent) -> list[tuple[Exponent, Fraction | int]]:
+    """The terms  -e_i N[i][j] x^(exp - u_i + u_j)  of the image of x^exp,
+    one per entry (i, j, N[i][j]) with e_i > 0.  Every diagonal entry gives
+    x^exp itself, so callers sum the coefficients of repeated exponents."""
+    out = []
+    for i, j, n in entries:
+        e = exp[i]
+        if e:
+            new = list(exp)
+            new[i] = e - 1
+            new[j] += 1
+            out.append((tuple(new), -e * n))
+    return out
+
+
+def _image_terms(entries: Entries, terms: dict[Exponent, Fraction | int]) -> dict[Exponent, Fraction | int]:
+    """The image of a polynomial given by its terms, summed by exponent;
+    coefficients that cancel stay in as zeros."""
+    out: dict[Exponent, Fraction | int] = {}
+    for exp, c in terms.items():
+        for key, x in _leibniz(entries, exp):
+            out[key] = out.get(key, 0) + x * c
+    return out
 
 
 def apply_derivation(n_matrix: RatMatrix, p: MultiPoly) -> MultiPoly:
     """Image of p under the derivation induced by n_matrix, by Leibniz term by term."""
-    entries = [(i, j, c) for i, row in enumerate(n_matrix.entries) for j, c in enumerate(row) if c]
-    out: dict[Exponent, Fraction] = {}
-    for exp, c in p.terms.items():
-        for i, j, n in entries:
-            e = exp[i]
-            if e:
-                new = list(exp)
-                new[i] = e - 1
-                new[j] += 1
-                key = tuple(new)
-                out[key] = out.get(key, 0) - e * n * c
-    return MultiPoly(p.num_vars, out)
+    return MultiPoly(p.num_vars, _image_terms(_nonzero_entries(n_matrix), p.terms))
 
 
 def derivation_on_degree(n_matrix: RatMatrix, degree: int) -> RatMatrix:
@@ -93,20 +140,21 @@ def _coefficient_row(p: MultiPoly, index: dict[Exponent, int]) -> list[Fraction]
     return row
 
 
-def _kernel_on_monomials(
-    operators: Sequence[RatMatrix], monos: Sequence[Exponent], num_vars: int
-) -> list[Vector]:
+def _kernel_on_monomials(operators: Sequence[RatMatrix], monos: Sequence[Exponent]) -> list[Vector]:
     """Joint kernel of derivations restricted to a span of monomials.
 
-    One sparse row per operator and image monomial, holding the
-    coefficients of that monomial in the images of the span.
+    One sparse integer row per operator and image monomial, holding the
+    coefficients of that monomial in the images of the span, written
+    straight from the exponent tuples.  Each operator is scaled to
+    integers once, which leaves its kernel unchanged.
     """
-    rows: dict[tuple[int, Exponent], dict[int, Fraction]] = {}
+    scaled = [_integer_entries(op) for op in operators]
+    rows: dict[tuple[int, Exponent], dict[int, int]] = {}
     for c, mono in enumerate(monos):
-        p = MultiPoly.monomial(num_vars, mono)
-        for op_index, op in enumerate(operators):
-            for exp, coeff in apply_derivation(op, p).terms.items():
-                rows.setdefault((op_index, exp), {})[c] = coeff
+        for op_index, entries in enumerate(scaled):
+            for exp, x in _leibniz(entries, mono):
+                row = rows.setdefault((op_index, exp), {})
+                row[c] = row.get(c, 0) + x
     return int_kernel(list(rows.values()), len(monos))
 
 
@@ -147,7 +195,7 @@ def unipotent_invariants(
     monos = monomials_of_degree(num_vars, degree)
     constraints = f"annihilated by {u.dim} unipotent derivation(s), degree {degree}"
     if gm_weights is None:
-        kernel = _kernel_on_monomials(u.generators, monos, num_vars)
+        kernel = _kernel_on_monomials(u.generators, monos)
         basis = _vectors_to_polys(kernel, monos, num_vars)
         return GradedInvariantSpace(degree=degree, basis=tuple(basis), constraints=constraints)
     fn_weights = [-w for w in gm_weights]
@@ -159,7 +207,7 @@ def unipotent_invariants(
     weights: list[Fraction] = []
     for w in sorted(blocks):
         block = blocks[w]
-        kernel = _kernel_on_monomials(u.generators, block, num_vars)
+        kernel = _kernel_on_monomials(u.generators, block)
         for p in _vectors_to_polys(kernel, block, num_vars):
             basis.append(p)
             weights.append(Fraction(-w))
@@ -184,7 +232,7 @@ def _coordinate_weights_sym(n: int) -> list[int]:
 
 def _weight_zero(monos: Sequence[Exponent], coordinate_weights: Sequence[int]) -> list[Exponent]:
     """The monomials of torus weight zero."""
-    return [m for m in monos if sum(e * w for e, w in zip(m, coordinate_weights)) == 0]
+    return [m for m in monos if not sum(map(mul, m, coordinate_weights))]
 
 
 def _weight_zero_invariants(
@@ -196,15 +244,16 @@ def _weight_zero_invariants(
     weight vector of weight zero, so it spans a trivial summand and the
     lowering derivation kills it too.  The kernel is therefore computed
     for the raising derivation alone, and every element is then checked
-    against the lowering derivation; the check is an exact assertion,
-    not a heuristic.
+    against the lowering derivation, in integers on its primitive integer
+    multiple; the check is an exact assertion, not a heuristic.
     """
-    kernel = _kernel_on_monomials([raising], monos, num_vars)
-    basis = _vectors_to_polys(kernel, monos, num_vars)
-    for p in basis:
-        if not apply_derivation(lowering, p).is_zero():
+    kernel = _kernel_on_monomials([raising], monos)
+    lower = _integer_entries(lowering)
+    for v in kernel:
+        terms = {m: x for m, x in zip(monos, primitive_int_vec(v)) if x}
+        if any(_image_terms(lower, terms).values()):
             raise AssertionError("weight-0 raising kernel escaped the lowering kernel")
-    return basis
+    return _vectors_to_polys(kernel, monos, num_vars)
 
 
 def sl2_invariants_binary_form(

@@ -10,8 +10,11 @@ become dicts of nonzero column -> int after clearing denominators,
 Markowitz 1957), and `_reduce` turns that into the reduced echelon
 form.  The dense readers (`rref`, `rref_kernel`, `solve`, `matrix_rank`,
 `row_space_basis`) serve the tiny hull and grading matrices; the sparse
-ones (`int_kernel`, `int_rank`) serve the invariant-ring matrices, which
-reach hundreds of rows and columns with a few nonzeros per row.  The
+ones serve the invariant-ring matrices, which reach hundreds of rows and
+columns with a few nonzeros per row.  `int_kernel` takes the derivation
+rows of `invariants._kernel_on_monomials`, which arrive as integers, so
+clearing denominators only drops entries that cancelled; `int_rank` takes the
+rational product rows of `invariants.generator_degree_report`.  The
 hull classifier works on primitive integer vectors (`primitive_int_vec`)
 and takes small integer determinants by Bareiss elimination (`int_det`).
 """

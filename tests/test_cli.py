@@ -252,3 +252,28 @@ def test_ragged_generator_rows_are_a_parse_error(tmp_path, command):
     code, out = run([command, "--action", str(path)])
     assert code == EXIT_PARSE
     assert out.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("points", [5, "p", {"name": "a", "coords": ["1", "0"]}, True], ids=repr)
+def test_points_that_are_not_a_list_are_a_parse_error(tmp_path, points):
+    raw = json.loads((CORPUS / "torus_line.json").read_text())
+    raw["points"] = points
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(raw))
+    code, out = run(["stability", "--action", str(path)])
+    assert code == EXIT_PARSE
+    assert out == "parse error: key 'points' in document must be a list\n"
+
+
+@pytest.mark.parametrize("absent", ["missing", "null"])
+def test_absent_or_null_points_give_an_empty_panel(tmp_path, absent):
+    raw = json.loads((CORPUS / "torus_line.json").read_text())
+    if absent == "missing":
+        del raw["points"]
+    else:
+        raw["points"] = None
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(raw))
+    code, out = run(["stability", "--action", str(path)])
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"] == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_derivation, reference_kernel, reference_rank
@@ -18,6 +18,7 @@ from stabloci.actions import (
 )
 from stabloci.errors import DegreeBoundExceeded, DimensionMismatch
 from stabloci.invariants import (
+    _kernel_on_monomials,
     apply_derivation,
     derivation_on_degree,
     generator_degree_report,
@@ -93,6 +94,59 @@ def _matrix_and_poly(draw):
 def test_apply_derivation_matches_images_times_partials(case):
     n_matrix, p = case
     assert apply_derivation(n_matrix, p) == reference_derivation(n_matrix, p)
+
+
+_mixed_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9])),
+)
+
+
+@st.composite
+def _operators_and_span(draw):
+    """One to three square matrices whose entries mix denominators and signs,
+    diagonal entries included, and a span of distinct monomials of mixed
+    degrees, possibly empty."""
+    n = draw(st.integers(1, 4))
+    matrix = st.lists(st.lists(_mixed_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        operators = draw(st.lists(matrix, min_size=1, max_size=3))
+    else:
+        # Diagonal operators: their kernels are spans of monomials x^e with
+        # sum e_i k_i = 0, so the diagonal terms of a kernel monomial cancel.
+        scale = st.builds(Fraction, st.sampled_from([-5, -1, 1, 3]), st.sampled_from([1, 2, 3, 4, 7]))
+        diagonal = st.tuples(scale, st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        operators = [
+            [[c * k if i == j else 0 for j in range(n)] for i, k in enumerate(ks)]
+            for c, ks in draw(st.lists(diagonal, min_size=1, max_size=3))
+        ]
+    operators = [RatMatrix(rows) for rows in operators]
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    monos = draw(st.lists(exponent, max_size=12, unique=True))
+    return operators, monos
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operators_and_span())
+@example(  # the diagonal terms of x0 x1 cancel, so x0 x1 is in the kernel
+    (
+        [
+            RatMatrix([[Fraction(1, 2), 0], [0, Fraction(-1, 2)]]),
+            RatMatrix([[Fraction(-2, 3), 0], [0, Fraction(2, 3)]]),
+        ],
+        [(1, 1), (2, 0), (0, 2), (0, 0)],
+    )
+)
+def test_kernel_on_monomials_matches_reference_kernel(case):
+    """The integer rows give the kernel that the Fraction images do."""
+    operators, monos = case
+    n = operators[0].rows
+    rows = []
+    for op in operators:
+        images = [reference_derivation(op, MultiPoly.monomial(n, m)) for m in monos]
+        for exp in sorted({e for image in images for e in image.terms}):
+            rows.append([image.terms.get(exp, Fraction(0)) for image in images])
+    assert _kernel_on_monomials(operators, monos) == reference_kernel(rows, len(monos))
 
 
 def test_unipotent_invariants_degree_zero_is_constants():
