@@ -37,15 +37,7 @@ from typing import Iterable, Sequence
 
 from .actions import ProjectivePoint, UnipotentData, sym_power_raising
 from .errors import DegreeBoundExceeded, DimensionMismatch, ZeroForm
-from .linalg import (
-    RatMatrix,
-    Vector,
-    block_diagonal,
-    int_kernel,
-    int_rank,
-    primitive_int_vec,
-    row_space_basis,
-)
+from .linalg import RatMatrix, Vector, block_diagonal, int_kernel, int_rank, primitive_int_vec, row_space_basis
 from .poly import Exponent, MultiPoly, max_root_multiplicity
 
 Entries = Sequence[tuple[int, int, Fraction | int]]

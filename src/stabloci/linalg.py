@@ -13,9 +13,9 @@ form.  The dense readers (`rref`, `rref_kernel`, `solve`, `matrix_rank`,
 ones serve the invariant-ring matrices, which reach hundreds of rows and
 columns with a few nonzeros per row.  `int_kernel` takes the derivation
 rows of `invariants._kernel_on_monomials`, which arrive as integers, so
-clearing denominators only drops entries that cancelled; `int_rank` takes the
-rational product rows of `invariants.generator_degree_report`.  The
-hull classifier works on primitive integer vectors (`primitive_int_vec`)
+clearing denominators only drops entries that cancelled; `int_rank`
+takes the rational product rows of `invariants.generator_degree_report`.
+The hull classifier works on primitive integer vectors (`primitive_int_vec`)
 and takes small integer determinants by Bareiss elimination (`int_det`).
 """
 
