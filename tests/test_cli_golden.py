@@ -105,6 +105,23 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
             ],
         )
     )
+    # The same ten rank-3 weights under a twist with denominator 6 in every
+    # coordinate, so the scaled weights, closest points and norms all carry
+    # the common denominator.
+    argvs.append(
+        (
+            "strata_mixed__torus_rank3",
+            [
+                "strata",
+                "--action",
+                "tests/golden/cli/torus_rank3_ten.json",
+                "--chi=1/2,-2/3,1/3",
+                "--points",
+                "rep:0,1,0,0,0,0,0,0,1,0;tet:1,1,1,1,0,0,0,0,0,0;plane:1,1,0,0,1,0,0,0,0,0;"
+                "mixed:0,0,2,0,-1/3,5,0,0,0,1;all:1,1,1,1,1,1,1,1,1,1",
+            ],
+        )
+    )
     # Ten rank-4 weights, one repeated: the untwisted panel reaches every
     # position, the midpoint twist moves the origin onto a facet of some
     # supports, and the twist equal to the repeated weight puts the zero
