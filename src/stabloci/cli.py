@@ -44,7 +44,7 @@ EXIT_BOUNDS = 4
 
 
 def _fr(x) -> str:
-    return format_fraction(Fraction(x))
+    return format_fraction(x)
 
 
 def _frs(xs) -> list[str]:
@@ -241,21 +241,17 @@ def cmd_strata(args) -> dict:
     for name, p in doc.points:
         idx = index_of[p.support()]
         rows.append({"point": name, "beta": _frs(idx.beta), "norm_sq": _fr(idx.norm_sq)})
-    quotients = []
-    for idx in strat.indices:
-        if idx.is_zero():
-            continue
-        data = torus.stratum_quotient_data(doc.action.torus, chi, idx, cap)
-        quotients.append(
-            {
-                "beta": _frs(idx.beta),
-                "z_indices": list(data.z_indices),
-                "above_indices": list(data.above_indices),
-                "below_indices": list(data.below_indices),
-                "adapted_twist": _frs(data.adapted_twist),
-                "delta": _fr(data.delta),
-            }
-        )
+    quotients = [
+        {
+            "beta": _frs(data.index.beta),
+            "z_indices": list(data.z_indices),
+            "above_indices": list(data.above_indices),
+            "below_indices": list(data.below_indices),
+            "adapted_twist": _frs(data.adapted_twist),
+            "delta": _fr(data.delta),
+        }
+        for data in strat.quotient_data()
+    ]
     return {
         "command": "strata",
         "label": doc.action.label,

@@ -27,14 +27,22 @@ exists, whatever positive integer scale each ray carries.  Every other
 case is Boundary.
 
 Closest point to the origin: the minimiser lies in the relative
-interior of the hull of some affinely independent subset, so projecting
-the origin onto every affine span (one solution of the normal equations
-serves a dependent subset too) and keeping the candidates with
-nonnegative barycentric coordinates finds it exactly.  For every subset
-of a point set at once, the closest point of S is either that of a
+interior of the hull of some affinely independent subset T, so
+projecting the origin onto the affine span of every such subset and
+keeping the candidates with nonnegative barycentric coordinates finds it
+exactly.  The projection is integral by Cramer's rule: with d_j = t_j - t0
+and G their Gram matrix, G mu = (-<d_j, t0>) gives mu_j = det G_j / det G
+(Bareiss determinants), det G > 0 exactly when T is independent, the
+barycentric conditions read det G_j >= 0 and sum det G_j <= det G, and
+the projection is v / q, v = det G t0 + sum det G_j d_j over q = det G.
+Rational points are scaled by the common denominator D of their
+coordinates first: the closest point scales by D, its squared norm by D^2.
+
+For every subset at once, the closest point of S is either that of a
 one-smaller subset or the projection onto the span of S, which only a
 set of at most dim + 1 points can need; one table built from small
-subsets to large solves each small projection once.
+subsets to large solves each small projection once.  At c = v / q the
+variational inequality <c, p> >= |c|^2 reads <v, p> q >= |v|^2.
 """
 
 from __future__ import annotations
@@ -42,22 +50,10 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import (
-    RatMatrix,
-    Vector,
-    dot,
-    int_det,
-    norm_sq,
-    primitive_int_vec,
-    rref,
-    solve,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vec,
-)
+from .linalg import Vector, int_det, int_dot, primitive_int_vec, rref, zero_vec
 
 
 class HullPosition(Enum):
@@ -91,7 +87,7 @@ def hull_origin_position(points: Sequence[Vector]) -> HullPosition:
         return HullPosition.BOUNDARY
     if r < dim:
         basis = [primitive_int_vec(b) for b in basis]
-        q = [tuple(_idot(b, p) for b in basis) for p in q]
+        q = [tuple(int_dot(b, p) for b in basis) for p in q]
     ray_sum = [0] * r
     for subset in combinations(q, r - 1):
         c = _cross(subset, r)
@@ -99,7 +95,7 @@ def hull_origin_position(points: Sequence[Vector]) -> HullPosition:
             continue
         sign = 0  # the first nonzero pairing; a mixed sign ends the ray
         for x in q:
-            v = _idot(c, x)
+            v = int_dot(c, x)
             if v * sign < 0:
                 break
             sign = sign or v
@@ -107,13 +103,9 @@ def hull_origin_position(points: Sequence[Vector]) -> HullPosition:
             ray_sum = [a + b if sign > 0 else a - b for a, b in zip(ray_sum, c)]
     if not any(ray_sum):
         return HullPosition.INTERIOR if r == dim else HullPosition.BOUNDARY
-    if not has_zero and all(_idot(ray_sum, x) > 0 for x in q):
+    if not has_zero and all(int_dot(ray_sum, x) > 0 for x in q):
         return HullPosition.OUTSIDE
     return HullPosition.BOUNDARY
-
-
-def _idot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
 
 
 def _cross(subset: Sequence[Sequence[int]], r: int) -> list[int]:
@@ -124,96 +116,88 @@ def _cross(subset: Sequence[Sequence[int]], r: int) -> list[int]:
     return [-m if j & 1 else m for j, m in enumerate(minors)]
 
 
-def _project_origin_segment(a: Vector, b: Vector) -> Vector | None:
-    d = vec_sub(b, a)
-    dd = norm_sq(d)
-    if dd == 0:
-        return None
-    t = -dot(a, d) / dd
-    if t < 0 or t > 1:
-        return None
-    return vec_add(a, vec_scale(t, d))
-
-
-def _project_origin_affine(subset: Sequence[Vector]) -> Vector | None:
-    """Projection of 0 onto the affine span, if it lies in conv(subset)."""
-    k = len(subset)
-    if k == 1:
-        return subset[0]
-    if k == 2:
-        return _project_origin_segment(subset[0], subset[1])
+def _project_origin(subset: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] | None:
+    """Projection v / q of 0 onto the affine span of integer points, q > 0
+    and gcd(v, q) = 1, if the points are affinely independent and it lies
+    in their hull; None otherwise."""
     t0 = subset[0]
-    diffs = [vec_sub(p, t0) for p in subset[1:]]
-    gram = [[dot(a, b) for b in diffs] for a in diffs]
-    rhs = [-dot(d, t0) for d in diffs]
-    mu = solve(RatMatrix(gram), rhs)
-    if mu is None:
+    diffs = [[a - b for a, b in zip(p, t0)] for p in subset[1:]]
+    gram = [[int_dot(a, b) for b in diffs] for a in diffs]
+    rhs = [-int_dot(d, t0) for d in diffs]
+    det = int_det(gram)
+    if det == 0:
         return None
-    if any(m < 0 for m in mu) or sum(mu) > 1:
+    nums = [int_det([row[:j] + [r] + row[j + 1 :] for row, r in zip(gram, rhs)]) for j in range(len(diffs))]
+    if any(m < 0 for m in nums) or sum(nums) > det:
         return None
-    p = t0
-    for m, d in zip(mu, diffs):
-        p = vec_add(p, vec_scale(m, d))
-    return p
+    v = [det * x + sum(m * d[i] for m, d in zip(nums, diffs)) for i, x in enumerate(t0)]
+    g = gcd(det, *v)
+    return tuple(x // g for x in v), det // g
 
 
 def closest_point_to_origin(points: Sequence[Vector]) -> Vector:
     """The unique point of conv(points) of minimal Euclidean norm."""
     dim = _check_points(points)
-    pts = list(dict.fromkeys(points))
-    best: Vector | None = None
-    best_norm: Fraction | None = None
+    denom = lcm(*(x.denominator for p in points for x in p))
+    pts = list(dict.fromkeys(tuple(x.numerator * (denom // x.denominator) for x in p) for p in points))
+    best: tuple[tuple[int, ...], int, int] | None = None
     for size in range(1, min(len(pts), dim + 1) + 1):
         for subset in combinations(pts, size):
-            cand = _project_origin_affine(subset)
-            if cand is None:
+            entry = _project_origin(subset)
+            if entry is None:
                 continue
-            n = norm_sq(cand)
+            v, q = entry
+            n = int_dot(v, v)
             if n == 0:
                 return zero_vec(dim)
-            if best_norm is None or n < best_norm:
-                best, best_norm = cand, n
+            if best is None or n * best[1] ** 2 < best[2] * q * q:
+                best = (v, q, n)
     assert best is not None
-    return best
+    v, q, _ = best
+    return tuple(Fraction(x, q * denom) for x in v)
 
 
-def closest_points_by_subset(points: Sequence[Vector]) -> dict[int, tuple[Vector, Fraction]]:
-    """Closest point to 0 and its squared norm for every nonempty subset.
+def closest_points_by_subset(points: Sequence[Sequence[int]]) -> dict[int, tuple[tuple[int, ...], int]]:
+    """Closest point v / q to 0 for every nonempty subset of integer points.
 
-    The points must be distinct; a subset is the bitmask of its indices.
-    The closest point c of S lies in the relative interior of conv(T) for
-    some affinely independent T of at most dim + 1 points.  When T != S,
-    T misses some p and c is the closest point of S - p; since each of
+    The points must be distinct; a subset is the bitmask of its indices,
+    and each entry is (v, q) with v an integer vector, q > 0 and
+    gcd(v, q) = 1, one shared tuple per distinct point.  The closest
+    point c of S lies in the relative interior of conv(T) for some
+    affinely independent T of at most dim + 1 points.  When T != S, T
+    misses some p and c is the closest point of S - p; since each of
     those lies in conv(S) and the minimiser is unique, c is the
     least-norm one.  So every c is the closest point of a subset of at
     most dim + 1 points.  Those come first, level by level: the closest
-    point c' of S - p is that of S exactly when <c', p> >= |c'|^2 (the
+    point v / q of S - p is that of S exactly when <v, p> q >= |v|^2 (the
     variational inequality at p), and when no p passes, T = S and c is
     the projection of 0 onto the affine span of S.  Ranked by norm, they
     feed the least-norm recurrence over the larger subsets, which then
-    compares integers only.
+    compares ranks only.
     """
     dim = _check_points(points)
     if len(set(points)) != len(points):
         raise ValueError("points must be distinct")
     bits = [1 << i for i in range(len(points))]
-    small = {b: (norm_sq(p), p) for b, p in zip(bits, points)}
+    small = {b: (tuple(p), 1, int_dot(p, p)) for b, p in zip(bits, points)}
     for size in range(2, min(len(points), dim + 1) + 1):
         for subset in combinations(range(len(points)), size):
             mask = sum(bits[i] for i in subset)
             for i in subset:
-                n, c = small[mask ^ bits[i]]
-                if dot(c, points[i]) >= n:
+                entry = small[mask ^ bits[i]]
+                v, q, n = entry
+                if int_dot(v, points[i]) * q >= n:
                     break
             else:
-                c = _project_origin_affine([points[i] for i in subset])
-                assert c is not None, "the closest point is interior to an independent subset"
-                n = norm_sq(c)
-            small[mask] = (n, c)
-    ranked = sorted(set(small.values()))
+                proj = _project_origin([points[i] for i in subset])
+                assert proj is not None, "the closest point is interior to an independent subset"
+                entry = (*proj, int_dot(proj[0], proj[0]))
+            small[mask] = entry
+    ranked = sorted(set(small.values()), key=lambda e: (Fraction(e[2], e[1] * e[1]), e[0]))
     rank = {entry: r for r, entry in enumerate(ranked)}
     table: dict[int, int] = {}
     for mask in range(1, 1 << len(points)):
         entry = small.get(mask)
         table[mask] = rank[entry] if entry else min(table[mask ^ b] for b in bits if mask & b)
-    return {mask: (ranked[r][1], ranked[r][0]) for mask, r in table.items()}
+    closest = [(v, q) for v, q, _ in ranked]
+    return {mask: closest[r] for mask, r in table.items()}

@@ -15,8 +15,9 @@ columns with a few nonzeros per row.  `int_kernel` takes the derivation
 rows of `invariants._kernel_on_monomials`, which arrive as integers, so
 clearing denominators only drops entries that cancelled; `int_rank`
 takes the rational product rows of `invariants.generator_degree_report`.
-The hull classifier works on primitive integer vectors (`primitive_int_vec`)
-and takes small integer determinants by Bareiss elimination (`int_det`).
+The hull classifier and the closest-point table work on integer vectors
+(`primitive_int_vec`, `int_dot`) and take small integer determinants by
+Bareiss elimination (`int_det`).
 """
 
 from __future__ import annotations
@@ -44,16 +45,8 @@ def norm_sq(v: Sequence[Fraction]) -> Fraction:
     return dot(v, v)
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in v)
+def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 def is_zero_vec(v: Sequence[Fraction]) -> bool:

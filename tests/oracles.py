@@ -6,8 +6,11 @@ interiority by full facet enumeration (H-representation): for a
 full-dimensional hull the origin is interior iff every facet hyperplane
 has strictly positive offset.  The closest-point oracle certifies
 optimality through the variational inequality rather than re-running
-any search.  The stratification oracle runs the library's single-call
-closest-point enumeration once per coordinate support.  Their linear
+any search.  The Fraction closest point and subset table are the ones
+the library ran before it moved to integer points and Cramer's rule:
+the projection onto each affine span solves the normal equations over
+Fractions.  The stratification oracle runs that closest-point
+enumeration once per coordinate support.  Their linear
 algebra is a dense Fraction Gauss-Jordan elimination kept here as the
 reference for the library's sparse fraction-free core; the dense matrix
 product and commutator are the references for the library's sparse
@@ -24,9 +27,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from stabloci.hull import HullPosition, closest_point_to_origin
-from stabloci.linalg import dot, is_zero_vec, norm_sq, vec_sub
+from stabloci.hull import HullPosition
+from stabloci.linalg import dot, is_zero_vec, norm_sq, zero_vec
 from stabloci.poly import MultiPoly, rational_roots
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def reference_rref(rows):
@@ -155,10 +166,86 @@ def certify_closest_point(points, candidate) -> bool:
     return all(dot(candidate, s) >= 0 for s in shifted)
 
 
+def _project_origin_segment(a, b):
+    d = vec_sub(b, a)
+    dd = norm_sq(d)
+    if dd == 0:
+        return None
+    t = -dot(a, d) / dd
+    if t < 0 or t > 1:
+        return None
+    return tuple(x + t * y for x, y in zip(a, d))
+
+
+def _project_origin_affine(subset):
+    """Projection of 0 onto the affine span, if it lies in conv(subset)."""
+    k = len(subset)
+    if k == 1:
+        return subset[0]
+    if k == 2:
+        return _project_origin_segment(subset[0], subset[1])
+    t0 = subset[0]
+    diffs = [vec_sub(p, t0) for p in subset[1:]]
+    gram = [[dot(a, b) for b in diffs] for a in diffs]
+    rhs = [-dot(d, t0) for d in diffs]
+    mu = reference_solve(gram, rhs, k - 1)
+    if mu is None:
+        return None
+    if any(m < 0 for m in mu) or sum(mu) > 1:
+        return None
+    p = t0
+    for m, d in zip(mu, diffs):
+        p = tuple(x + m * y for x, y in zip(p, d))
+    return p
+
+
+def reference_closest_point(points):
+    """The least-norm projection over every subset of at most dim + 1 points."""
+    dim = len(points[0])
+    pts = list(dict.fromkeys(points))
+    best = None
+    for size in range(1, min(len(pts), dim + 1) + 1):
+        for subset in combinations(pts, size):
+            cand = _project_origin_affine(subset)
+            if cand is None:
+                continue
+            n = norm_sq(cand)
+            if n == 0:
+                return zero_vec(dim)
+            if best is None or n < norm_sq(best):
+                best = cand
+    return best
+
+
+def reference_closest_points_by_subset(points):
+    """{bitmask: (closest point, |closest point|^2)} for every nonempty subset
+    of distinct rational points: the subsets of at most dim + 1 points by the
+    variational inequality or a projection, the larger ones by the least-norm
+    closest point of their one-smaller subsets."""
+    dim = len(points[0])
+    bits = [1 << i for i in range(len(points))]
+    small = {b: (norm_sq(p), p) for b, p in zip(bits, points)}
+    for size in range(2, min(len(points), dim + 1) + 1):
+        for subset in combinations(range(len(points)), size):
+            mask = sum(bits[i] for i in subset)
+            for i in subset:
+                n, c = small[mask ^ bits[i]]
+                if dot(c, points[i]) >= n:
+                    break
+            else:
+                c = _project_origin_affine([points[i] for i in subset])
+                n = norm_sq(c)
+            small[mask] = (n, c)
+    table = {}
+    for mask in range(1, 1 << len(points)):
+        table[mask] = small.get(mask) or min(table[mask ^ b] for b in bits if mask & b)
+    return {mask: (c, n) for mask, (n, c) in table.items()}
+
+
 def reference_stratification(weights):
     """(beta, |beta|^2, supports) for every stratum index of the weights.
 
-    One `closest_point_to_origin` enumeration per distinct set of
+    One `reference_closest_point` enumeration per distinct set of
     supported weights, supports listed by size then lexicographically
     and indices sorted by (|beta|^2, beta): the stratification as it was
     computed before the closest points came from one subset table.
@@ -169,7 +256,7 @@ def reference_stratification(weights):
         for support in combinations(range(len(weights)), size):
             key = frozenset(weights[i] for i in support)
             if key not in memo:
-                memo[key] = closest_point_to_origin(sorted(key))
+                memo[key] = reference_closest_point(sorted(key))
             by_beta.setdefault(memo[key], []).append(support)
     return [
         (beta, norm_sq(beta), tuple(by_beta[beta]))

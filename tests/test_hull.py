@@ -1,19 +1,30 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import certify_closest_point, oracle_hull_position, oracle_in_hull
+from oracles import (
+    certify_closest_point,
+    oracle_hull_position,
+    oracle_in_hull,
+    reference_closest_points_by_subset,
+    reference_rank,
+    reference_solve,
+    vec_sub,
+)
 from stabloci.hull import (
     HullPosition,
+    _project_origin,
     closest_point_to_origin,
     closest_points_by_subset,
     hull_origin_position,
     origin_in_hull,
 )
-from stabloci.linalg import dot, norm_sq, vec, vec_sub, zero_vec
+from stabloci.linalg import dot, norm_sq, vec, zero_vec
 
 
 def pts(*rows):
@@ -46,15 +57,17 @@ def test_closest_point_examples():
 
 
 def test_closest_points_by_subset_examples():
-    table = closest_points_by_subset(pts([2, 0], [0, 2], [-1, -1], [1, 1]))
-    assert table[0b0001] == (vec([2, 0]), 4)
-    assert table[0b0011] == (vec([1, 1]), 2)  # an edge's interior point
-    assert table[0b1011] == (vec([1, 1]), 2)  # kept when [1, 1] joins
-    assert table[0b0111] == (zero_vec(2), 0)
-    assert table[0b1100] == (zero_vec(2), 0)
+    table = closest_points_by_subset([(2, 0), (0, 2), (-1, -1), (1, 1)])
+    assert table[0b0001] == ((2, 0), 1)
+    assert table[0b0011] == ((1, 1), 1)  # an edge's interior point
+    assert table[0b1011] == ((1, 1), 1)  # kept when [1, 1] joins
+    assert table[0b0111] == ((0, 0), 1)
+    assert table[0b1100] == ((0, 0), 1)
     assert len(table) == 15
+    # the foot of the perpendicular on x + 2y = 2 is (2/5, 4/5)
+    assert closest_points_by_subset([(2, 0), (0, 1)])[0b11] == ((2, 4), 5)
     with pytest.raises(ValueError):
-        closest_points_by_subset(pts([1, 0], [1, 0]))
+        closest_points_by_subset([(1, 0), (1, 0)])
 
 
 def test_closest_point_segment_by_grid_refinement_oracle():
@@ -179,3 +192,64 @@ def _wide_point_sets(draw):
 @given(_wide_point_sets())
 def test_position_matches_facet_oracle_up_to_dimension_six(points):
     assert hull_origin_position(points) == oracle_hull_position(points)
+
+
+_small_int = st.integers(-4, 4)
+
+
+@st.composite
+def _distinct_int_points(draw):
+    """Up to 8 distinct integer points of rank 1-3."""
+    dim = draw(st.integers(1, 3))
+    return draw(st.lists(st.tuples(*[_small_int] * dim), min_size=1, max_size=8, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_distinct_int_points())
+def test_integer_table_matches_fraction_reference_table(points):
+    table = closest_points_by_subset(points)
+    reference = reference_closest_points_by_subset([vec(p) for p in points])
+    assert sorted(table) == sorted(reference) == list(range(1, 2 ** len(points)))
+    for mask, (v, q) in table.items():
+        assert q > 0 and gcd(q, *v) == 1
+        beta, nsq = reference[mask]
+        assert tuple(Fraction(x, q) for x in v) == beta
+        assert Fraction(sum(x * x for x in v), q * q) == nsq
+
+
+@st.composite
+def _independent_int_subsets(draw):
+    """1..dim+1 affinely independent integer points in Z^dim, dim 1-3."""
+    dim = draw(st.integers(1, 3))
+    size = draw(st.integers(1, dim + 1))
+    subset = draw(st.lists(st.tuples(*[_small_int] * dim), min_size=size, max_size=size, unique=True))
+    diffs = [vec_sub(p, subset[0]) for p in subset[1:]]
+    if diffs and reference_rank(diffs) < len(diffs):
+        subset = subset[:1]
+    return subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(_independent_int_subsets())
+def test_cramer_projection_matches_reference_solve(subset):
+    """v / q against the normal equations solved by dense Gauss-Jordan."""
+    t0 = vec(subset[0])
+    diffs = [vec_sub(vec(p), t0) for p in subset[1:]]
+    gram = [[dot(a, b) for b in diffs] for a in diffs]
+    mu = reference_solve(gram, [-dot(d, t0) for d in diffs], len(diffs)) if diffs else ()
+    inside = all(m >= 0 for m in mu) and sum(mu) <= 1
+    entry = _project_origin(subset)
+    if not inside:
+        assert entry is None
+        return
+    foot = tuple(x + sum(m * d[i] for m, d in zip(mu, diffs)) for i, x in enumerate(t0))
+    v, q = entry
+    assert q > 0 and gcd(q, *v) == 1
+    assert tuple(Fraction(x, q) for x in v) == foot
+
+
+def test_cramer_projection_rejects_dependent_points():
+    assert _project_origin([(1, 0), (2, 0), (3, 0)]) is None
+    assert _project_origin([(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)]) is None
+    for subset in combinations([(1, 2), (2, 4), (3, 6)], 2):
+        assert _project_origin(subset) is None  # the foot 0 lies outside the segment

@@ -1,19 +1,30 @@
 """Torus verdicts, chambers, limits, and the unstable stratification."""
 
 import hashlib
+import json
 import random
+import tempfile
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import certify_closest_point, reference_stratification
+from oracles import (
+    certify_closest_point,
+    reference_closest_points_by_subset,
+    reference_stratification,
+    vec_add,
+    vec_sub,
+)
 from stabloci.actions import GradingData, ProjectivePoint, TorusWeights
+from stabloci.cli import run
 from stabloci.errors import EnumerationBoundExceeded, UnknownIndex
 from stabloci.hull import HullPosition, closest_point_to_origin, closest_points_by_subset
-from stabloci.linalg import dot, norm_sq, vec, vec_add, vec_sub, zero_vec
+from stabloci.linalg import dot, norm_sq, vec, zero_vec
 from stabloci.torus import (
     Chamber,
     Status,
@@ -331,8 +342,85 @@ def test_stratification_matches_per_support_enumeration(case):
     got = [(idx.beta, idx.norm_sq, supports) for idx, supports in strat.assignments]
     assert got == reference_stratification(twisted)
     distinct = list(dict.fromkeys(twisted))
-    table = closest_points_by_subset(distinct)
+    d = lcm(*(t.denominator for t in twist))
+    table = closest_points_by_subset([tuple(int(x * d) for x in p) for p in distinct])
     assert sorted(table) == list(range(1, 2 ** len(distinct)))
-    for mask, (beta, nsq) in table.items():
+    for mask, (v, q) in table.items():
         expected = closest_point_to_origin([p for i, p in enumerate(distinct) if mask >> i & 1])
-        assert beta == expected and nsq == norm_sq(expected)
+        beta = tuple(Fraction(x, q * d) for x in v)
+        assert beta == expected and Fraction(sum(x * x for x in v), (q * d) ** 2) == norm_sq(expected)
+
+
+_mixed_fraction = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
+
+
+@st.composite
+def _weights_with_mixed_twist(draw):
+    """Up to 8 weights of rank 1-3 drawn with replacement, and a twist whose
+    coordinates have denominators 1, 2, 3 or 6."""
+    rank = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 8))
+    pool = [tuple(draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(draw(st.integers(1, count)))]
+    repeats = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(count - len(pool))]
+    weights = tuple(draw(st.permutations(pool + repeats)))
+    return TorusWeights(rank=rank, weights=weights), tuple(draw(st.tuples(*[_mixed_fraction] * rank)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weights_with_mixed_twist())
+def test_integer_stratification_matches_fraction_references(case):
+    """The table over the scaled weights P_i = D w_i - D t against the
+    Fraction table over the twisted weights, and the stratification against
+    one Fraction closest-point enumeration per support."""
+    tw, twist = case
+    twisted = [vec_sub(vec(w), twist) for w in tw.weights]
+    strat = stratification_indices(tw, twist)
+    got = [(idx.beta, idx.norm_sq, supports) for idx, supports in strat.assignments]
+    assert got == reference_stratification(twisted)
+    d = lcm(*(t.denominator for t in twist))
+    assert strat.weights == tuple(tuple(int(x * d) for x in w) for w in twisted)
+    for (idx, _), (v, q) in zip(strat.assignments, strat.closest):
+        assert tuple(Fraction(x, q * d) for x in v) == idx.beta
+    reference = reference_closest_points_by_subset(list(dict.fromkeys(twisted)))
+    table = closest_points_by_subset(list(dict.fromkeys(strat.weights)))
+    assert sorted(table) == sorted(reference)
+    for mask, (v, q) in table.items():
+        beta, nsq = reference[mask]
+        assert tuple(Fraction(x, q * d) for x in v) == beta
+        assert Fraction(sum(x * x for x in v), (q * d) ** 2) == nsq
+
+
+def _fractions(values):
+    return tuple(Fraction(x) for x in values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_weights_with_mixed_twist())
+def test_printed_quotient_rows_match_the_rechecked_quotient_data(case):
+    """`strata` takes each quotient row from the table without a second
+    proof; `stratum_quotient_data` re-proves the index by its level set."""
+    tw, twist = case
+    doc = {
+        "bounds": {"bidegree_cap": 16, "max_degree": 12, "product_m": 0, "subset_cap": 16},
+        "grading": None,
+        "label": "mixed",
+        "n": tw.n,
+        "points": [],
+        "torus": {"rank": tw.rank, "weights": [list(w) for w in tw.weights]},
+        "unipotent": None,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["strata", "--action", str(path), "--chi=" + ",".join(map(str, twist))])
+    assert code == 0
+    payload = json.loads(out)
+    nonzero = [idx for idx in stratification_indices(tw, twist).indices if not idx.is_zero()]
+    assert [_fractions(row["beta"]) for row in payload["quotients"]] == [idx.beta for idx in nonzero]
+    for row, idx in zip(payload["quotients"], nonzero):
+        data = stratum_quotient_data(tw, twist, idx)
+        assert row["z_indices"] == list(data.z_indices)
+        assert row["above_indices"] == list(data.above_indices)
+        assert row["below_indices"] == list(data.below_indices)
+        assert _fractions(row["adapted_twist"]) == data.adapted_twist
+        assert Fraction(row["delta"]) == data.delta
