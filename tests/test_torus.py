@@ -321,14 +321,15 @@ def test_stratum_quotient_data_matches_enumeration_oracle(case):
 
 
 @st.composite
-def _weights_with_twist(draw):
-    """Up to 8 weights of rank 1-3 drawn with replacement, and a twist."""
+def _weights_with_twist(draw, coordinate=_small_fraction):
+    """Up to 8 weights of rank 1-3 drawn with replacement, and a twist,
+    zero or with coordinates drawn from `coordinate`."""
     rank = draw(st.integers(1, 3))
     count = draw(st.integers(1, 8))
     pool = [tuple(draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(draw(st.integers(1, count)))]
     repeats = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(count - len(pool))]
     weights = tuple(draw(st.permutations(pool + repeats)))
-    twist = draw(st.one_of(st.just(zero_vec(rank)), st.tuples(*[_small_fraction] * rank)))
+    twist = draw(st.one_of(st.just(zero_vec(rank)), st.tuples(*[coordinate] * rank)))
     return TorusWeights(rank=rank, weights=weights), twist
 
 
@@ -351,23 +352,12 @@ def test_stratification_matches_per_support_enumeration(case):
         assert beta == expected and Fraction(sum(x * x for x in v), (q * d) ** 2) == norm_sq(expected)
 
 
+# Twist coordinates with denominators 1, 2, 3 or 6.
 _mixed_fraction = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
 
 
-@st.composite
-def _weights_with_mixed_twist(draw):
-    """Up to 8 weights of rank 1-3 drawn with replacement, and a twist whose
-    coordinates have denominators 1, 2, 3 or 6."""
-    rank = draw(st.integers(1, 3))
-    count = draw(st.integers(1, 8))
-    pool = [tuple(draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(draw(st.integers(1, count)))]
-    repeats = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(count - len(pool))]
-    weights = tuple(draw(st.permutations(pool + repeats)))
-    return TorusWeights(rank=rank, weights=weights), tuple(draw(st.tuples(*[_mixed_fraction] * rank)))
-
-
 @settings(max_examples=60, deadline=None)
-@given(_weights_with_mixed_twist())
+@given(_weights_with_twist(_mixed_fraction))
 def test_integer_stratification_matches_fraction_references(case):
     """The table over the scaled weights P_i = D w_i - D t against the
     Fraction table over the twisted weights, and the stratification against
@@ -395,7 +385,7 @@ def _fractions(values):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_weights_with_mixed_twist())
+@given(_weights_with_twist(_mixed_fraction))
 def test_printed_quotient_rows_match_the_rechecked_quotient_data(case):
     """`strata` takes each quotient row from the table without a second
     proof; `stratum_quotient_data` re-proves the index by its level set."""
