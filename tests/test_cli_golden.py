@@ -151,6 +151,39 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
             ["invariants", "--action", "tests/golden/cli/rational_jordan.json", "--max-degree", "8"],
         )
     )
+    # Points with mixed denominators and signs, so the nonvanishing test
+    # evaluates at rational coordinates.  Up to degree 8 the jet-group
+    # invariants are the powers of x0, so every witness there has degree 1
+    # and a point with x0 = 0 makes every invariant vanish; the binary-cubic
+    # panel adds a point whose first nonvanishing invariant has degree 2.
+    argvs.append(
+        (
+            "invariants_points__jet_3",
+            [
+                "invariants",
+                "--action",
+                "corpus/jet_3.json",
+                "--max-degree",
+                "8",
+                "--points",
+                "mixed:1/2,-3/4,5/6;neg:-2/3,0,7/5;tiny:3/10,-1/6,-4/9;vanish:0,-5/3,2/7;top:0,0,-9/4",
+            ],
+        )
+    )
+    argvs.append(
+        (
+            "invariants_points__jordan_3",
+            [
+                "invariants",
+                "--action",
+                "corpus/jordan_3.json",
+                "--max-degree",
+                "8",
+                "--points",
+                "wit2:2/3,-1/2,5/4,0;vanish:-3/7,5/2,0,0;mixed:1/2,-2/3,3/5,-7/4",
+            ],
+        )
+    )
     return argvs
 
 
