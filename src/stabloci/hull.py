@@ -173,7 +173,7 @@ def closest_points_by_subset(points: Sequence[Sequence[int]]) -> dict[int, tuple
     variational inequality at p), and when no p passes, T = S and c is
     the projection of 0 onto the affine span of S.  Ranked by norm, they
     feed the least-norm recurrence over the larger subsets, which then
-    compares ranks only.
+    compares ranks only, visiting the set bits of each mask one at a time.
     """
     dim = _check_points(points)
     if len(set(points)) != len(points):
@@ -198,6 +198,16 @@ def closest_points_by_subset(points: Sequence[Sequence[int]]) -> dict[int, tuple
     table: dict[int, int] = {}
     for mask in range(1, 1 << len(points)):
         entry = small.get(mask)
-        table[mask] = rank[entry] if entry else min(table[mask ^ b] for b in bits if mask & b)
+        if entry:
+            table[mask] = rank[entry]
+            continue
+        best, rest = len(ranked), mask
+        while rest:
+            b = rest & -rest
+            r = table[mask ^ b]
+            if r < best:
+                best = r
+            rest ^= b
+        table[mask] = best
     closest = [(v, q) for v, q, _ in ranked]
     return {mask: closest[r] for mask, r in table.items()}

@@ -15,12 +15,22 @@ the i-th unit exponent.  That one step, `_leibniz`, serves every image:
 builder writes it straight into the rows of the kernel matrix.  Each
 caller lists the nonzero entries of N once, not once per monomial.
 
-The kernel rows are integers.  Each operator is first multiplied by the
-lcm of its entries' denominators; a nonzero multiple of a derivation has
-the same kernel, so the joint kernel, and with it the reduced echelon
-basis that `linalg.int_kernel` returns, does not change.  The SL(2)
-lowering check runs on integers too, on each kernel vector's primitive
-integer multiple, which is zero exactly when the vector's image is.
+The kernel rows are integers.  Each operator is multiplied by the lcm
+of its entries' denominators, once per call; a nonzero multiple of a
+derivation has the same kernel, so the joint kernel, and with it the
+reduced echelon basis that `linalg.int_kernel` returns, does not change.
+Only the basis itself is rational.  Everything read off it afterwards
+runs on each element's primitive integer multiple c p, c a nonzero
+rational: the SL(2) lowering check, the products whose rank counts the
+generators (scaling a row does not change a rank), and the evaluations
+of the nonvanishing test, taken at the point's primitive integer vector
+l x, l > 0.  A degree-d invariant is homogeneous, so c p(l x) =
+c l^d p(x), which is zero exactly when p(x) is.
+
+The SL(2) tables need only the monomials of torus weight zero.  They are
+listed directly, by a recursion over the weights that never enters a
+branch without a weight-zero completion (`_monomials_of_weight`), not
+filtered out of all C(n + d, d) monomials of degree d.
 
 All weight bookkeeping below uses the induced function weights, which
 are the negatives of the coordinate weights.
@@ -28,11 +38,13 @@ are the negatives of the coordinate weights.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
-from math import lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add, getitem
 from typing import Iterable, Sequence
 
 from .actions import ProjectivePoint, UnipotentData, sym_power_raising
@@ -41,6 +53,7 @@ from .linalg import RatMatrix, Vector, block_diagonal, int_kernel, int_rank, pri
 from .poly import Exponent, MultiPoly, max_root_multiplicity
 
 Entries = Sequence[tuple[int, int, Fraction | int]]
+IntEntries = list[tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,12 @@ class GradedInvariantSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def integer_basis(self) -> tuple[dict[Exponent, int], ...]:
+        """The terms of each basis element's primitive integer multiple,
+        computed once per space for the product ranks and evaluations."""
+        return tuple(dict(zip(p.terms, primitive_int_vec(tuple(p.terms.values())))) for p in self.basis)
 
 
 def monomials_of_degree(num_vars: int, degree: int) -> list[Exponent]:
@@ -73,7 +92,7 @@ def _nonzero_entries(n_matrix: RatMatrix) -> list[tuple[int, int, Fraction]]:
     return [(i, j, c) for i, row in enumerate(n_matrix.entries) for j, c in enumerate(row) if c]
 
 
-def _integer_entries(n_matrix: RatMatrix) -> list[tuple[int, int, int]]:
+def _integer_entries(n_matrix: RatMatrix) -> IntEntries:
     """The nonzero entries of n_matrix times the lcm of their denominators."""
     entries = _nonzero_entries(n_matrix)
     scale = lcm(*(c.denominator for _, _, c in entries))
@@ -132,21 +151,25 @@ def _coefficient_row(p: MultiPoly, index: dict[Exponent, int]) -> list[Fraction]
     return row
 
 
-def _kernel_on_monomials(operators: Sequence[RatMatrix], monos: Sequence[Exponent]) -> list[Vector]:
+def _kernel_on_monomials(scaled: Sequence[IntEntries], monos: Sequence[Exponent]) -> list[Vector]:
     """Joint kernel of derivations restricted to a span of monomials.
 
-    One sparse integer row per operator and image monomial, holding the
-    coefficients of that monomial in the images of the span, written
-    straight from the exponent tuples.  Each operator is scaled to
-    integers once, which leaves its kernel unchanged.
+    The derivations come as their `_integer_entries`, which leave each
+    kernel unchanged.  One sparse integer row per operator and image
+    monomial, holding the coefficients of that monomial in the images of
+    the span, written straight from the exponent tuples; a coefficient
+    that cancels leaves its row, so the rows go to `int_kernel` as built.
     """
-    scaled = [_integer_entries(op) for op in operators]
     rows: dict[tuple[int, Exponent], dict[int, int]] = {}
     for c, mono in enumerate(monos):
         for op_index, entries in enumerate(scaled):
             for exp, x in _leibniz(entries, mono):
                 row = rows.setdefault((op_index, exp), {})
-                row[c] = row.get(c, 0) + x
+                y = row.get(c, 0) + x
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
     return int_kernel(list(rows.values()), len(monos))
 
 
@@ -186,8 +209,9 @@ def unipotent_invariants(
         )
     monos = monomials_of_degree(num_vars, degree)
     constraints = f"annihilated by {u.dim} unipotent derivation(s), degree {degree}"
+    scaled = [_integer_entries(g) for g in u.generators]
     if gm_weights is None:
-        kernel = _kernel_on_monomials(u.generators, monos)
+        kernel = _kernel_on_monomials(scaled, monos)
         basis = _vectors_to_polys(kernel, monos, num_vars)
         return GradedInvariantSpace(degree=degree, basis=tuple(basis), constraints=constraints)
     fn_weights = [-w for w in gm_weights]
@@ -199,7 +223,7 @@ def unipotent_invariants(
     weights: list[Fraction] = []
     for w in sorted(blocks):
         block = blocks[w]
-        kernel = _kernel_on_monomials(u.generators, block)
+        kernel = _kernel_on_monomials(scaled, block)
         for p in _vectors_to_polys(kernel, block, num_vars):
             basis.append(p)
             weights.append(Fraction(-w))
@@ -222,9 +246,36 @@ def _coordinate_weights_sym(n: int) -> list[int]:
     return [n - 2 * j for j in range(n + 1)]
 
 
-def _weight_zero(monos: Sequence[Exponent], coordinate_weights: Sequence[int]) -> list[Exponent]:
-    """The monomials of torus weight zero."""
-    return [m for m in monos if not sum(map(mul, m, coordinate_weights))]
+def _monomials_of_weight(weights: Sequence[int], degree: int, target: int) -> list[Exponent]:
+    """The exponent tuples of the given total degree and weight
+    sum_i e_i w_i = target, sorted, listed without the other monomials.
+
+    A bounded recursion fixes the exponents from the first variable on,
+    each in increasing order, and enters a branch only while the weight
+    t still owed by the remaining weights W, with r degrees left, lies in
+    [r min W, r max W] and differs from r times the first of them by a
+    multiple of the gcd of their differences.  When W is an arithmetic
+    progression, as every tail of the binary-form or plane weights is,
+    exactly those t are sums of r elements of W, so every branch entered
+    ends in a listed monomial.
+    """
+    tails = [weights[j:] for j in range(len(weights))]
+    lo, hi = [min(w) for w in tails], [max(w) for w in tails]
+    step = [gcd(*(x - w[0] for x in w)) or 1 for w in tails]
+    out: list[Exponent] = []
+
+    def place(j: int, prefix: Exponent, r: int, t: int) -> None:
+        if not (r * lo[j] <= t <= r * hi[j] and (t - r * weights[j]) % step[j] == 0):
+            return
+        if j == len(weights) - 1:
+            out.append((*prefix, r))
+            return
+        for e in range(r + 1):
+            place(j + 1, (*prefix, e), r - e, t - e * weights[j])
+
+    if weights:
+        place(0, (), degree, target)
+    return out
 
 
 def _weight_zero_invariants(
@@ -239,7 +290,7 @@ def _weight_zero_invariants(
     against the lowering derivation, in integers on its primitive integer
     multiple; the check is an exact assertion, not a heuristic.
     """
-    kernel = _kernel_on_monomials([raising], monos)
+    kernel = _kernel_on_monomials([_integer_entries(raising)], monos)
     lower = _integer_entries(lowering)
     for v in kernel:
         terms = {m: x for m, x in zip(monos, primitive_int_vec(v)) if x}
@@ -265,7 +316,7 @@ def sl2_invariants_binary_form(
         return GradedInvariantSpace(
             degree=0, basis=(MultiPoly.const(num_vars, 1),), constraints="constants"
         )
-    monos = _weight_zero(monomials_of_degree(num_vars, d), _coordinate_weights_sym(n))
+    monos = _monomials_of_weight(_coordinate_weights_sym(n), d, 0)
     basis = _weight_zero_invariants(sym_power_raising(n), _sym_lowering(n), monos, num_vars)
     return GradedInvariantSpace(
         degree=d,
@@ -287,10 +338,15 @@ def _product_matrices(n: int) -> tuple[RatMatrix, RatMatrix]:
     return raising, lowering
 
 
-def _bidegree_monomials(n: int, a: int, b: int) -> list[Exponent]:
-    z_monos = monomials_of_degree(3, a)
-    w_monos = monomials_of_degree(n + 1, b)
-    return sorted(zm + wm for zm in z_monos for wm in w_monos)
+def _bidegree_weight_zero(n: int, a: int, b: int) -> list[Exponent]:
+    """The weight-zero monomials of bidegree (a, b) in z0, z1, z2, w0..wn,
+    sorted: z-monomials of weight t paired with form monomials of weight -t."""
+    return sorted(
+        z + w
+        for t in range(-a, a + 1)
+        for z in _monomials_of_weight((1, -1, 0), a, t)
+        for w in _monomials_of_weight(_coordinate_weights_sym(n), b, -t)
+    )
 
 
 def product_sl2_invariants(
@@ -301,7 +357,7 @@ def product_sl2_invariants(
         raise DegreeBoundExceeded(f"bidegree ({a},{b}) outside the cap {bidegree_cap}")
     raising, lowering = _product_matrices(n)
     num_vars = 3 + n + 1
-    monos = _weight_zero(_bidegree_monomials(n, a, b), [1, -1, 0] + _coordinate_weights_sym(n))
+    monos = _bidegree_weight_zero(n, a, b)
     if not monos:
         return GradedInvariantSpace(
             degree=a + b, basis=(), constraints="empty weight-0 block", bidegree=(a, b)
@@ -359,15 +415,25 @@ def invariant_nonvanishing_verdict(
     """One-sided semistability probe by evaluating computed invariants.
 
     True certifies a nonvanishing positive-degree invariant; False only
-    means none was found up to the examined bound.
+    means none was found up to the examined bound.  The evaluation runs
+    in integers: each basis element's primitive integer multiple c p at
+    the point's primitive integer vector l x, l > 0.  An invariant of
+    degree d is homogeneous, so c p(l x) = c l^d p(x), zero exactly when
+    p(x) is.
     """
+    point = primitive_int_vec(x.coords)
     bound = 0
     for space in spaces:
         if space.degree < 1:
             continue
         bound = max(bound, space.degree)
-        for p in space.basis:
-            if p.evaluate(x.coords) != 0:
+        if not space.basis:
+            continue
+        if len(point) != space.basis[0].num_vars:
+            raise ValueError("point dimension does not match num_vars")
+        powers = [[c**k for k in range(space.degree + 1)] for c in point]
+        for terms in space.integer_basis:
+            if sum(c * prod(map(getitem, powers, e)) for e, c in terms.items()):
                 return NonvanishingReport(found=True, witness_degree=space.degree, bound=bound)
     return NonvanishingReport(found=False, witness_degree=None, bound=bound)
 
@@ -417,8 +483,10 @@ def generator_degree_report(
     A degree-d invariant is new when it lies outside the span of
     products of lower-degree invariants; products of full invariant
     spaces realise every product of algebra elements of lower degrees.
-    The rank of the product rows is taken by the sparse integer core;
-    monomials are numbered in order of first appearance, since the rank
+    The products multiply the primitive integer multiples of the basis
+    elements, which scales each product row by a nonzero constant and so
+    leaves the rank unchanged; the sparse integer core takes that rank.
+    Monomials are numbered in order of first appearance, since the rank
     does not depend on the column order.
     """
     by_degree = {s.degree: s for s in spaces if s.degree >= 1}
@@ -430,15 +498,13 @@ def generator_degree_report(
             continue
         index: dict[Exponent, int] = {}
         product_rows = []
-        for d1 in range(1, d):
+        for d1 in range(1, d // 2 + 1):
             d2 = d - d1
-            if d1 > d2 or d1 not in by_degree or d2 not in by_degree:
+            if d1 not in by_degree or d2 not in by_degree:
                 continue
-            for p in by_degree[d1].basis:
-                for q in by_degree[d2].basis:
-                    product_rows.append(
-                        {index.setdefault(e, len(index)): c for e, c in p.mul(q).terms.items()}
-                    )
+            for p in by_degree[d1].integer_basis:
+                for q in by_degree[d2].integer_basis:
+                    product_rows.append(_product_row(p, q, index))
         product_dim = int_rank(product_rows)
         report.append(
             GeneratorDegreeRow(
@@ -451,19 +517,29 @@ def generator_degree_report(
     return report
 
 
+def _product_row(p: dict[Exponent, int], q: dict[Exponent, int], index: dict[Exponent, int]) -> dict[int, int]:
+    """The integer product p q as a sparse row over the monomials numbered
+    by `index`, which numbers new ones as they appear."""
+    row: dict[int, int] = {}
+    for e1, a in p.items():
+        for e2, b in q.items():
+            c = index.setdefault(tuple(map(add, e1, e2)), len(index))
+            row[c] = row.get(c, 0) + a * b
+    return {c: x for c, x in row.items() if x}
+
+
 def sl2_weight_counting_dimension(n: int, d: int) -> int:
     """Independent dimension count: weight-0 minus weight-2 multiplicities.
 
     Multiplicities are computed purely combinatorially from the
-    symmetric-power weights, with no linear algebra.
+    symmetric-power weights, with no linear algebra: ways[k][s] counts
+    the multisets of k weights with sum s, built one weight at a time,
+    which may then be taken any number of times.
     """
-    weights = _coordinate_weights_sym(n)
-
-    def multiplicity(target: int) -> int:
-        count = 0
-        for combo in combinations_with_replacement(weights, d):
-            if sum(combo) == target:
-                count += 1
-        return count
-
-    return multiplicity(0) - multiplicity(2)
+    ways = [Counter() for _ in range(d + 1)]
+    ways[0][0] = 1
+    for w in _coordinate_weights_sym(n):
+        for k in range(1, d + 1):
+            for s, count in ways[k - 1].items():
+                ways[k][s + w] += count
+    return ways[d][0] - ways[d][2]

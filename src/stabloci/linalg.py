@@ -5,19 +5,23 @@ of such tuples wrapped in RatMatrix.  There is no floating point
 anywhere in this package.
 
 Every elimination goes through one sparse, fraction-free core: rows
-become dicts of nonzero column -> int after clearing denominators,
-`_echelon` brings them to an integer echelon form (Bareiss 1968;
-Markowitz 1957), and `_reduce` turns that into the reduced echelon
-form.  The dense readers (`rref`, `rref_kernel`, `solve`, `matrix_rank`,
-`row_space_basis`) serve the tiny hull and grading matrices; the sparse
-ones serve the invariant-ring matrices, which reach hundreds of rows and
-columns with a few nonzeros per row.  `int_kernel` takes the derivation
-rows of `invariants._kernel_on_monomials`, which arrive as integers, so
-clearing denominators only drops entries that cancelled; `int_rank`
-takes the rational product rows of `invariants.generator_degree_report`.
-The hull classifier and the closest-point table work on integer vectors
-(`primitive_int_vec`, `int_dot`) and take small integer determinants by
-Bareiss elimination (`int_det`).
+are dicts of nonzero column -> int, `_echelon` brings them to an integer
+echelon form (Bareiss 1968; Markowitz 1957), and `_reduce` turns that
+into the reduced echelon form.  The dense readers (`rref`, `rref_kernel`,
+`solve`, `matrix_rank`, `row_space_basis`) serve the tiny hull and
+grading matrices and take each rational row's primitive integer multiple
+first.  The sparse readers serve the invariant-ring matrices, which
+reach hundreds of rows and columns with a few nonzeros per row, and take
+integer rows as they are: `int_kernel` the derivation rows of
+`invariants._kernel_on_monomials`, `int_rank` the product rows of
+`invariants.generator_degree_report`, which multiply each invariant's
+primitive integer multiple (a row scaled by a nonzero constant spans the
+same line, so the rank is unchanged).  When the echelon form has a pivot
+in every column the kernel is zero, and `int_kernel` returns it without
+the back-substitution; most graded blocks of an invariant ring end
+there.  The hull classifier and the closest-point table work on integer
+vectors (`primitive_int_vec`, `int_dot`) and take small integer
+determinants by Bareiss elimination (`int_det`).
 """
 
 from __future__ import annotations
@@ -182,7 +186,7 @@ def block_diagonal(blocks: Sequence[RatMatrix]) -> RatMatrix:
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
     ncols = len(rows[0]) if rows else 0
-    reduced = _reduce(_echelon(_clear_denominators(dict(enumerate(r))) for r in rows))
+    reduced = _reduce(_echelon({j: x for j, x in enumerate(primitive_int_vec(r)) if x} for r in rows))
     pivots = sorted(reduced)
     return [[reduced[c].get(j, Fraction(0)) for j in range(ncols)] for c in pivots], pivots
 
@@ -212,14 +216,6 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """Canonical (reduced echelon) basis of the span of the given rows."""
     return [tuple(r) for r in rref(rows)[0]]
-
-
-def _clear_denominators(row: dict[int, Fraction | int]) -> dict[int, int]:
-    """The nonzero entries of a sparse rational row, scaled by the lcm of
-    their denominators to integers."""
-    row = {c: x for c, x in row.items() if x}
-    denom = lcm(*(x.denominator for x in row.values()))
-    return {c: x.numerator * (denom // x.denominator) for c, x in row.items()}
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
@@ -286,15 +282,18 @@ def _reduce(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]
     }
 
 
-def int_rank(rows: Iterable[dict[int, Fraction | int]]) -> int:
-    """Rank of sparse rational rows (dicts of column -> entry)."""
-    return len(_echelon(_clear_denominators(r) for r in rows))
+def int_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank of sparse integer rows (dicts of column -> nonzero int)."""
+    return len(_echelon(rows))
 
 
-def int_kernel(rows: list[dict[int, Fraction | int]], ncols: int) -> list[Vector]:
-    """Kernel basis of sparse rational rows (dicts of column -> entry),
+def int_kernel(rows: list[dict[int, int]], ncols: int) -> list[Vector]:
+    """Kernel basis of sparse integer rows (dicts of column -> nonzero int),
     the one rref_kernel returns."""
-    return _kernel_basis(_reduce(_echelon(_clear_denominators(r) for r in rows)), ncols)
+    pivots = _echelon(rows)
+    if len(pivots) == ncols:
+        return []
+    return _kernel_basis(_reduce(pivots), ncols)
 
 
 def _kernel_basis(reduced: dict[int, dict[int, Fraction]], ncols: int) -> list[Vector]:

@@ -20,12 +20,19 @@ The polynomial references build what the library avoids building: the
 matrix exp(sN) with polynomial entries for unipotent translates, the
 derivation as images of the coordinate functions times partial
 derivatives, and root multiplicities by repeated synthetic division.
+
+The invariant-table references are the paths the library ran before it
+went integer and listed only what it needs: monomials of a weight
+filtered out of every monomial of the degree, the SL(2) weight
+multiplicities counted over all combinations of weights, product ranks
+from Fraction `MultiPoly.mul` rows, and the nonvanishing test by Fraction
+`evaluate` at the point itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from stabloci.hull import HullPosition
 from stabloci.linalg import dot, is_zero_vec, norm_sq, zero_vec
@@ -365,3 +372,68 @@ def rational_roots_with_multiplicity(coeffs):
             mult += 1
         out.append((root, mult))
     return out
+
+
+def reference_monomials(num_vars, degree):
+    """Every exponent tuple of the given total degree, sorted."""
+    out = []
+    for combo in combinations_with_replacement(range(num_vars), degree):
+        exp = [0] * num_vars
+        for i in combo:
+            exp[i] += 1
+        out.append(tuple(exp))
+    return sorted(out)
+
+
+def reference_weight_zero(monos, weights):
+    """The monomials of weight zero under the given coordinate weights."""
+    return [m for m in monos if not sum(e * w for e, w in zip(m, weights))]
+
+
+def reference_monomials_of_weight(weights, degree, target):
+    """The monomials of the given degree and weight, filtered from all of them."""
+    monos = reference_monomials(len(weights), degree)
+    return [m for m in monos if sum(e * w for e, w in zip(m, weights)) == target]
+
+
+def reference_bidegree_weight_zero(n, a, b):
+    """Weight-zero monomials of bidegree (a, b) on the plane times binary
+    n-forms, filtered from every product of a z- and a w-monomial."""
+    monos = sorted(z + w for z in reference_monomials(3, a) for w in reference_monomials(n + 1, b))
+    return reference_weight_zero(monos, [1, -1, 0] + [n - 2 * j for j in range(n + 1)])
+
+
+def reference_weight_counting_dimension(n, d):
+    """Weight-0 minus weight-2 multiplicities of degree d on binary n-forms,
+    counted over every combination of d weights."""
+    weights = [n - 2 * j for j in range(n + 1)]
+    sums = [sum(combo) for combo in combinations_with_replacement(weights, d)]
+    return sums.count(0) - sums.count(2)
+
+
+def reference_product_rank(spaces, d):
+    """Rank of the products of the lower-degree bases landing in degree d,
+    from Fraction `MultiPoly.mul` rows by dense Gauss-Jordan."""
+    by_degree = {s.degree: s for s in spaces if s.degree >= 1}
+    products = [
+        p.mul(q)
+        for d1 in range(1, d // 2 + 1)
+        if d1 in by_degree and d - d1 in by_degree
+        for p in by_degree[d1].basis
+        for q in by_degree[d - d1].basis
+    ]
+    monos = sorted({e for f in products for e in f.terms})
+    return reference_rank([[f.terms.get(m, Fraction(0)) for m in monos] for f in products]) if monos else 0
+
+
+def reference_nonvanishing(spaces, coords):
+    """(found, witness degree, bound) by Fraction evaluation at the point."""
+    bound = 0
+    for space in spaces:
+        if space.degree < 1:
+            continue
+        bound = max(bound, space.degree)
+        for p in space.basis:
+            if p.evaluate(coords) != 0:
+                return True, space.degree, bound
+    return False, None, bound

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_derivation, reference_kernel, reference_rank
+from oracles import (
+    reference_bidegree_weight_zero,
+    reference_derivation,
+    reference_kernel,
+    reference_monomials,
+    reference_monomials_of_weight,
+    reference_nonvanishing,
+    reference_product_rank,
+    reference_weight_counting_dimension,
+    reference_weight_zero,
+)
 from stabloci.actions import (
     ProjectivePoint,
     UnipotentData,
@@ -18,7 +28,12 @@ from stabloci.actions import (
 )
 from stabloci.errors import DegreeBoundExceeded, DimensionMismatch
 from stabloci.invariants import (
+    GradedInvariantSpace,
+    _bidegree_weight_zero,
+    _coordinate_weights_sym,
+    _integer_entries,
     _kernel_on_monomials,
+    _monomials_of_weight,
     apply_derivation,
     derivation_on_degree,
     generator_degree_report,
@@ -146,7 +161,8 @@ def test_kernel_on_monomials_matches_reference_kernel(case):
         images = [reference_derivation(op, MultiPoly.monomial(n, m)) for m in monos]
         for exp in sorted({e for image in images for e in image.terms}):
             rows.append([image.terms.get(exp, Fraction(0)) for image in images])
-    assert _kernel_on_monomials(operators, monos) == reference_kernel(rows, len(monos))
+    scaled = [_integer_entries(op) for op in operators]
+    assert _kernel_on_monomials(scaled, monos) == reference_kernel(rows, len(monos))
 
 
 def test_unipotent_invariants_degree_zero_is_constants():
@@ -192,33 +208,125 @@ def test_generator_counts_stabilise_as_finite_generation_witness():
     assert by_degree[6].dim == 8
 
 
-def _product_ranks_by_rref(spaces):
-    """Product-span dimension per degree, by the dense Gauss-Jordan reference."""
-    by_degree = {s.degree: s for s in spaces}
-    ranks = {}
-    for d, space in by_degree.items():
-        monos = monomials_of_degree(space.basis[0].num_vars, d)
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for d1 in range(1, d // 2 + 1):
-            for p in by_degree[d1].basis:
-                for q in by_degree[d - d1].basis:
-                    row = [Fraction(0)] * len(monos)
-                    for exp, c in p.mul(q).terms.items():
-                        row[index[exp]] = c
-                    rows.append(row)
-        ranks[d] = reference_rank(rows)
-    return ranks
-
-
 @pytest.mark.parametrize("action", [jordan_embed_ga([3]), jet_group_example(3)], ids=["jordan_3", "jet_3"])
 def test_generator_report_matches_row_space_basis(action):
     gm = action.grading.gm_weights
     spaces = [unipotent_invariants(action.unipotent, d, gm_weights=gm) for d in range(1, 9)]
-    expected = _product_ranks_by_rref(spaces)
     for row in generator_degree_report(spaces):
-        assert row.from_products == expected[row.degree]
-        assert row.new_generators == row.dim - expected[row.degree]
+        expected = reference_product_rank(spaces, row.degree)
+        assert row.from_products == expected
+        assert row.new_generators == row.dim - expected
+
+
+_coefficient = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9])
+)
+
+
+@st.composite
+def _graded_spaces(draw):
+    """Spaces of degrees 1-4 in 1-3 variables whose bases are drawn
+    homogeneous polynomials with mixed denominators and signs, often with
+    repeated or proportional elements; they need not be invariants."""
+    num_vars = draw(st.integers(1, 3))
+    spaces = []
+    for d in range(1, 5):
+        monos = reference_monomials(num_vars, d)
+        poly = st.dictionaries(st.sampled_from(monos), _coefficient, min_size=1, max_size=4)
+        basis = [MultiPoly(num_vars, terms) for terms in draw(st.lists(poly, max_size=3))]
+        if basis and draw(st.booleans()):
+            basis.append(basis[0].scale(draw(_coefficient)))
+        spaces.append(GradedInvariantSpace(degree=d, basis=tuple(basis), constraints="drawn"))
+    return spaces
+
+
+def _space(degree, *polys):
+    return GradedInvariantSpace(
+        degree=degree, basis=tuple(MultiPoly(2, terms) for terms in polys), constraints="drawn"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graded_spaces())
+@example(  # x0 x1^2 cancels in the first product, so its row must drop the entry
+    [
+        _space(1, {(0, 1): Fraction(-1), (1, 0): Fraction(-1)}),
+        _space(2, {(1, 1): Fraction(-1), (0, 2): Fraction(1)}, {(1, 1): Fraction(1), (0, 2): Fraction(-1)}),
+        _space(3, {(1, 2): Fraction(-1)}),
+    ]
+)
+def test_integer_product_rank_is_fraction_product_rank(spaces):
+    """Ranks of the integer products equal those of the Fraction products."""
+    for row in generator_degree_report(spaces):
+        assert row.from_products == (reference_product_rank(spaces, row.degree) if row.dim else 0)
+
+
+_coordinate = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(3)])
+
+
+@st.composite
+def _spaces_and_point(draw):
+    """Drawn spaces and a point in their variables, zero coordinates included."""
+    spaces = draw(_graded_spaces())
+    num_vars = next((s.basis[0].num_vars for s in spaces if s.basis), 2)
+    return spaces, draw(st.lists(_coordinate, min_size=num_vars, max_size=num_vars).filter(any))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaces_and_point())
+@example(  # x0 - 2 x1 and x0^2 - 4 x1^2 vanish at (1, 1/2) but not at its numerators
+    (
+        [
+            _space(1, {(1, 0): Fraction(1, 3), (0, 1): Fraction(-2, 3)}),
+            _space(2, {(2, 0): Fraction(1, 2), (0, 2): Fraction(-2)}),
+            _space(3, {(1, 2): Fraction(3, 7)}),
+        ],
+        [Fraction(1), Fraction(1, 2)],
+    )
+)
+def test_integer_nonvanishing_is_fraction_evaluation(case):
+    """The integer evaluation finds the witness that Fraction evaluation does."""
+    spaces, coords = case
+    report = invariant_nonvanishing_verdict(spaces, ProjectivePoint(coords))
+    assert (report.found, report.witness_degree, report.bound) == reference_nonvanishing(spaces, coords)
+
+
+def test_nonvanishing_rejects_a_point_of_the_wrong_length():
+    spaces = [unipotent_invariants(CUBICS.unipotent, d) for d in range(1, 3)]
+    for coords in ((1, 2, 3), (1, 2, 3, 5, 0), (0, 0, 0, 0, 1)):
+        with pytest.raises(ValueError):
+            invariant_nonvanishing_verdict(spaces, point(*coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10))
+@example(10, 10)
+@example(7, 7)  # odd weight total: no weight-zero monomial
+def test_weight_zero_listing_matches_filter(n, d):
+    weights = _coordinate_weights_sym(n)
+    assert _monomials_of_weight(weights, d, 0) == reference_weight_zero(reference_monomials(n + 1, d), weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 6))
+@example(3, 0, 0)
+@example(5, 6, 1)
+def test_bidegree_weight_zero_listing_matches_filter(n, a, b):
+    assert _bidegree_weight_zero(n, a, b) == reference_bidegree_weight_zero(n, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=5), st.integers(0, 6), st.integers(-8, 8))
+@example([3, 0, 1], 4, 5)  # tails that are no arithmetic progression
+def test_weight_listing_matches_filter_for_any_weights(weights, degree, target):
+    assert _monomials_of_weight(weights, degree, target) == reference_monomials_of_weight(weights, degree, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10))
+@example(10, 10)
+def test_weight_counting_dp_matches_enumeration(n, d):
+    assert sl2_weight_counting_dimension(n, d) == reference_weight_counting_dimension(n, d)
 
 
 def test_invariants_annihilated_and_weight_tagged():

@@ -102,6 +102,7 @@ def int_matrices(draw):
 @example(([[0, 0, 0], [0, 0, 0]], 3))
 @example(([[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]], 12))
 @example(([[0, 2, 4, 0, 6], [0, 1, 2, 0, 3], [0, -3, -6, 0, -9]], 5))
+@example(([[0, 3, 1], [2, 0, 0], [4, 6, 2], [0, 0, -5]], 3))  # full column rank: no kernel
 def test_int_kernel_is_rref_kernel(matrix):
     """The sparse core gives rref_kernel's basis exactly, and its rank."""
     rows, ncols = matrix
@@ -143,9 +144,10 @@ def rational_systems(draw):
 @example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]], 2, [Fraction(1), Fraction(3)]))
 @example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]], 2, [Fraction(1), Fraction(2)]))
 def test_elimination_matches_dense_gauss_jordan(system):
-    """Every reader of the sparse core equals the dense Fraction reference."""
+    """Every reader of the sparse core equals the dense Fraction reference;
+    the integer readers take each row's primitive integer multiple."""
     rows, ncols, rhs = system
-    sparse = _sparse(rows)
+    sparse = _sparse(map(primitive_int_vec, rows))
     assert rref(rows) == reference_rref(rows)
     assert matrix_rank(rows) == int_rank(sparse) == reference_rank(rows)
     assert row_space_basis(rows) == reference_row_space(rows)
