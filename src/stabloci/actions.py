@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveGradingWeight,
     NotNilpotent,
 )
-from .linalg import RatMatrix, Vector, block_diagonal, vec
+from .linalg import IntEntries, RatMatrix, Vector, vec
 from .ratio import format_fraction, parse_fraction
 
 
@@ -150,11 +150,7 @@ class WeightedAction:
                 # exactly when d_i - d_j = w wherever N_ij is nonzero.
                 d = self.grading.gm_weights
                 for g, w in zip(self.unipotent.generators, self.unipotent.grading_weights):
-                    if any(
-                        x and d[i] - d[j] != w
-                        for i, row in enumerate(g.entries)
-                        for j, x in enumerate(row)
-                    ):
+                    if any(d[i] - d[j] != w for i, j, _ in g.nonzero_entries()):
                         raise GradingCommutationFailure(
                             f"[diag(grading), N] != {w} N for a generator"
                         )
@@ -331,16 +327,21 @@ def serialize_document(doc: ActionDocument) -> str:
 # -- built-in actions --------------------------------------------------
 
 
-def sym_power_raising(k: int) -> RatMatrix:
-    """Matrix of the sl2 raising element on the k-th symmetric power.
+def sl2_entries(k: int, offset: int = 0) -> tuple[IntEntries, IntEntries]:
+    """Nonzero entries of the sl2 raising and lowering elements on the k-th
+    symmetric power, on the coordinates offset..offset + k.
 
-    Basis v_0..v_k with v_j = e1^(k-j) e2^j; the raising element sends
-    v_j to j v_{j-1}.
+    Basis v_0..v_k with v_j = e1^(k-j) e2^j; the raising element sends v_j
+    to j v_{j-1}, the lowering element sends v_j to (k - j) v_{j+1}.
     """
-    rows = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
-    for j in range(1, k + 1):
-        rows[j - 1][j] = Fraction(j)
-    return RatMatrix(rows)
+    raising = [(offset + j - 1, offset + j, j) for j in range(1, k + 1)]
+    lowering = [(offset + j + 1, offset + j, k - j) for j in range(k)]
+    return raising, lowering
+
+
+def sym_power_raising(k: int) -> RatMatrix:
+    """Matrix of the sl2 raising element on the k-th symmetric power."""
+    return RatMatrix.from_entries(k + 1, sl2_entries(k)[0])
 
 
 def jordan_embed_ga(block_sizes: Sequence[int], chi: Fraction = Fraction(0)) -> WeightedAction:
@@ -355,9 +356,11 @@ def jordan_embed_ga(block_sizes: Sequence[int], chi: Fraction = Fraction(0)) -> 
     if not blocks or any(k < 1 for k in blocks):
         raise DimensionMismatch("block sizes must be positive")
     weights: list[tuple[int, ...]] = []
+    raising: IntEntries = []
     for k in blocks:
+        raising += sl2_entries(k, len(weights))[0]
         weights.extend((k - 2 * j,) for j in range(k + 1))
-    generator = block_diagonal([sym_power_raising(k) for k in blocks])
+    generator = RatMatrix.from_entries(len(weights), raising)
     label = "ga_jordan_" + "_".join(str(k) for k in blocks)
     return WeightedAction(
         torus=TorusWeights(rank=1, weights=tuple(weights)),
@@ -374,11 +377,7 @@ def aut_p112_example(chi: Fraction = Fraction(0)) -> WeightedAction:
     send z to z plus a quadric, graded by the central circle of GL(2)
     with coordinate weights (2, 2, 2, 0) and adjoint weights (2, 2, 2).
     """
-    gens = []
-    for i in range(3):
-        rows = [[Fraction(0)] * 4 for _ in range(4)]
-        rows[i][3] = Fraction(1)
-        gens.append(RatMatrix(rows))
+    gens = [RatMatrix.from_entries(4, [(i, 3, 1)]) for i in range(3)]
     return WeightedAction(
         torus=TorusWeights(rank=1, weights=((2,), (2,), (2,), (0,))),
         grading=GradingData(gm_weights=(2, 2, 2, 0), character_twist=chi),
@@ -399,12 +398,7 @@ def jet_group_example(k: int, chi: Fraction = Fraction(0)) -> WeightedAction:
     """
     if k < 2:
         raise DimensionMismatch("jet order must be >= 2")
-    gens = []
-    for m in range(1, k):
-        rows = [[Fraction(0)] * k for _ in range(k)]
-        for j in range(1, k - m + 1):
-            rows[j + m - 1][j - 1] = Fraction(j)
-        gens.append(RatMatrix(rows))
+    gens = [RatMatrix.from_entries(k, [(j + m - 1, j - 1, j) for j in range(1, k - m + 1)]) for m in range(1, k)]
     return WeightedAction(
         torus=TorusWeights(rank=1, weights=tuple((i,) for i in range(1, k + 1))),
         grading=GradingData(gm_weights=tuple(range(1, k + 1)), character_twist=chi),

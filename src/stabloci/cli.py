@@ -313,7 +313,7 @@ def cmd_graded(args) -> dict:
 def cmd_hatstable(args) -> dict:
     doc = _load_graded_document(args)
     q = parse_fraction(args.q)
-    m = args.m if args.m else max(doc.bounds.product_m, graded.m_lower_bound(doc.action, q))
+    m = _bound(args.m, 0, "--m") or max(doc.bounds.product_m, graded.m_lower_bound(doc.action, q))
     rows = []
     for name, p in doc.points:
         verdict = graded.q_hat_stable(doc.action, q, m, p, seed=args.seed)

@@ -184,7 +184,7 @@ def _exp_series(
     Sums the finite series  sum_k s^k/k! N^k coords: each term is N times
     the previous one, multiplied by s/k, through the nonzero entries of N.
     """
-    entries = [(i, j, c) for i, row in enumerate(n_matrix.entries) for j, c in enumerate(row) if c]
+    entries = n_matrix.nonzero_entries()
     total = [dict(p) for p in coords]
     term = coords
     for k in range(1, n_matrix.rows):

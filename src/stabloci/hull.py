@@ -26,23 +26,28 @@ cone lies in its interior, so their sum is such a c exactly when one
 exists, whatever positive integer scale each ray carries.  Every other
 case is Boundary.
 
-Closest point to the origin: the minimiser lies in the relative
-interior of the hull of some affinely independent subset T, so
-projecting the origin onto the affine span of every such subset and
-keeping the candidates with nonnegative barycentric coordinates finds it
-exactly.  The projection is integral by Cramer's rule: with d_j = t_j - t0
-and G their Gram matrix, G mu = (-<d_j, t0>) gives mu_j = det G_j / det G
-(Bareiss determinants), det G > 0 exactly when T is independent, the
-barycentric conditions read det G_j >= 0 and sum det G_j <= det G, and
-the projection is v / q, v = det G t0 + sum det G_j d_j over q = det G.
-Rational points are scaled by the common denominator D of their
-coordinates first: the closest point scales by D, its squared norm by D^2.
+Closest points to the origin: one enumeration, `_small_subsets`, with two
+readers.  The minimiser over conv(S) lies in the relative interior of
+the hull of some affinely independent subset T of at most dim + 1
+points, and it is the closest point of T.  The enumeration takes every
+subset of at most dim + 1 points, from small to large: a one-smaller
+subset's closest point c is kept when the missing point p passes the
+variational inequality <c, p> >= |c|^2, and otherwise the subset is
+independent and its closest point is the projection of the origin onto
+its affine span.  The projection is integral by Cramer's rule: with
+d_j = t_j - t0 and G their Gram matrix, G mu = (-<d_j, t0>) gives
+mu_j = det G_j / det G (Bareiss determinants), det G > 0 exactly when T
+is independent, the barycentric conditions read det G_j >= 0 and
+sum det G_j <= det G, and the projection is v / q,
+v = det G t0 + sum det G_j d_j over q = det G.  At c = v / q the
+variational inequality reads <v, p> q >= |v|^2.
 
-For every subset at once, the closest point of S is either that of a
-one-smaller subset or the projection onto the span of S, which only a
-set of at most dim + 1 points can need; one table built from small
-subsets to large solves each small projection once.  At c = v / q the
-variational inequality <c, p> >= |c|^2 reads <v, p> q >= |v|^2.
+`closest_point_to_origin` takes the least-norm entry, scaling rational
+points by the common denominator D of their coordinates first (the
+closest point scales by D, its squared norm by D^2).
+`closest_points_by_subset` ranks the entries by norm and extends them to
+every larger subset by the least-norm recurrence, so each small
+projection is solved once for all subsets.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import Vector, int_det, int_dot, primitive_int_vec, rref, zero_vec
+from .linalg import Vector, int_det, int_dot, primitive_int_vec, rref
 
 
 class HullPosition(Enum):
@@ -135,49 +140,11 @@ def _project_origin(subset: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], i
     return tuple(x // g for x in v), det // g
 
 
-def closest_point_to_origin(points: Sequence[Vector]) -> Vector:
-    """The unique point of conv(points) of minimal Euclidean norm."""
-    dim = _check_points(points)
-    denom = lcm(*(x.denominator for p in points for x in p))
-    pts = list(dict.fromkeys(tuple(x.numerator * (denom // x.denominator) for x in p) for p in points))
-    best: tuple[tuple[int, ...], int, int] | None = None
-    for size in range(1, min(len(pts), dim + 1) + 1):
-        for subset in combinations(pts, size):
-            entry = _project_origin(subset)
-            if entry is None:
-                continue
-            v, q = entry
-            n = int_dot(v, v)
-            if n == 0:
-                return zero_vec(dim)
-            if best is None or n * best[1] ** 2 < best[2] * q * q:
-                best = (v, q, n)
-    assert best is not None
-    v, q, _ = best
-    return tuple(Fraction(x, q * denom) for x in v)
-
-
-def closest_points_by_subset(points: Sequence[Sequence[int]]) -> dict[int, tuple[tuple[int, ...], int]]:
-    """Closest point v / q to 0 for every nonempty subset of integer points.
-
-    The points must be distinct; a subset is the bitmask of its indices,
-    and each entry is (v, q) with v an integer vector, q > 0 and
-    gcd(v, q) = 1, one shared tuple per distinct point.  The closest
-    point c of S lies in the relative interior of conv(T) for some
-    affinely independent T of at most dim + 1 points.  When T != S, T
-    misses some p and c is the closest point of S - p; since each of
-    those lies in conv(S) and the minimiser is unique, c is the
-    least-norm one.  So every c is the closest point of a subset of at
-    most dim + 1 points.  Those come first, level by level: the closest
-    point v / q of S - p is that of S exactly when <v, p> q >= |v|^2 (the
-    variational inequality at p), and when no p passes, T = S and c is
-    the projection of 0 onto the affine span of S.  Ranked by norm, they
-    feed the least-norm recurrence over the larger subsets, which then
-    compares ranks only, visiting the set bits of each mask one at a time.
-    """
-    dim = _check_points(points)
-    if len(set(points)) != len(points):
-        raise ValueError("points must be distinct")
+def _small_subsets(points: Sequence[Sequence[int]], dim: int) -> dict[int, tuple[tuple[int, ...], int, int]]:
+    """Closest point v / q to 0 with |v|^2 for every subset of at most
+    dim + 1 distinct integer points, keyed by bitmask, level by level: the
+    entry of a one-smaller subset that passes the variational inequality
+    at its missing point, else the projection onto the affine span."""
     bits = [1 << i for i in range(len(points))]
     small = {b: (tuple(p), 1, int_dot(p, p)) for b, p in zip(bits, points)}
     for size in range(2, min(len(points), dim + 1) + 1):
@@ -193,6 +160,39 @@ def closest_points_by_subset(points: Sequence[Sequence[int]]) -> dict[int, tuple
                 assert proj is not None, "the closest point is interior to an independent subset"
                 entry = (*proj, int_dot(proj[0], proj[0]))
             small[mask] = entry
+    return small
+
+
+def closest_point_to_origin(points: Sequence[Vector]) -> Vector:
+    """The unique point of conv(points) of minimal Euclidean norm: the
+    least-norm closest point of the subsets of at most dim + 1 points."""
+    dim = _check_points(points)
+    denom = lcm(*(x.denominator for p in points for x in p))
+    pts = list(dict.fromkeys(tuple(x.numerator * (denom // x.denominator) for x in p) for p in points))
+    v, q, _ = min(_small_subsets(pts, dim).values(), key=lambda e: Fraction(e[2], e[1] * e[1]))
+    return tuple(Fraction(x, q * denom) for x in v)
+
+
+def closest_points_by_subset(points: Sequence[Sequence[int]]) -> dict[int, tuple[tuple[int, ...], int]]:
+    """Closest point v / q to 0 for every nonempty subset of integer points.
+
+    The points must be distinct; a subset is the bitmask of its indices,
+    and each entry is (v, q) with v an integer vector, q > 0 and
+    gcd(v, q) = 1, one shared tuple per distinct point.  The closest
+    point c of S lies in the relative interior of conv(T) for some
+    affinely independent T of at most dim + 1 points.  When T != S, T
+    misses some p and c is the closest point of S - p; since each of
+    those lies in conv(S) and the minimiser is unique, c is the
+    least-norm one.  So every c is the closest point of a subset of at
+    most dim + 1 points, which `_small_subsets` lists.  Ranked by norm,
+    they feed the least-norm recurrence over the larger subsets, which
+    then compares ranks only, visiting the set bits of each mask one at
+    a time.
+    """
+    dim = _check_points(points)
+    if len(set(points)) != len(points):
+        raise ValueError("points must be distinct")
+    small = _small_subsets(points, dim)
     ranked = sorted(set(small.values()), key=lambda e: (Fraction(e[2], e[1] * e[1]), e[0]))
     rank = {entry: r for r, entry in enumerate(ranked)}
     table: dict[int, int] = {}

@@ -13,10 +13,12 @@ gains  -e_i N[i][j] c x^(e - u_i + u_j)  for each N[i][j] != 0, u_i
 the i-th unit exponent.  That one step, `_leibniz`, serves every image:
 `apply_derivation` sums it over a polynomial's terms, and the kernel
 builder writes it straight into the rows of the kernel matrix.  Each
-caller lists the nonzero entries of N once, not once per monomial.
+caller takes the entry list of N once, not once per monomial.
 
-The kernel rows are integers.  Each operator is multiplied by the lcm
-of its entries' denominators, once per call; a nonzero multiple of a
+The kernel rows are integers.  The SL(2) raising and lowering elements
+are the integer entry lists of `actions.sl2_entries`; only document
+generators, which may be rational, are multiplied by the lcm of their
+entries' denominators, once per call.  A nonzero multiple of a
 derivation has the same kernel, so the joint kernel, and with it the
 reduced echelon basis that `linalg.int_kernel` returns, does not change.
 Only the basis itself is rational.  Everything read off it afterwards
@@ -47,13 +49,12 @@ from math import gcd, lcm, prod
 from operator import add, getitem
 from typing import Iterable, Sequence
 
-from .actions import ProjectivePoint, UnipotentData, sym_power_raising
+from .actions import ProjectivePoint, UnipotentData, sl2_entries
 from .errors import DegreeBoundExceeded, DimensionMismatch, ZeroForm
-from .linalg import RatMatrix, Vector, block_diagonal, int_kernel, int_rank, primitive_int_vec, row_space_basis
+from .linalg import IntEntries, RatMatrix, Vector, int_kernel, int_rank, primitive_int_vec, row_space_basis
 from .poly import Exponent, MultiPoly, max_root_multiplicity
 
 Entries = Sequence[tuple[int, int, Fraction | int]]
-IntEntries = list[tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,9 @@ def monomials_of_degree(num_vars: int, degree: int) -> list[Exponent]:
     return sorted(out)
 
 
-def _nonzero_entries(n_matrix: RatMatrix) -> list[tuple[int, int, Fraction]]:
-    return [(i, j, c) for i, row in enumerate(n_matrix.entries) for j, c in enumerate(row) if c]
-
-
 def _integer_entries(n_matrix: RatMatrix) -> IntEntries:
     """The nonzero entries of n_matrix times the lcm of their denominators."""
-    entries = _nonzero_entries(n_matrix)
+    entries = n_matrix.nonzero_entries()
     scale = lcm(*(c.denominator for _, _, c in entries))
     return [(i, j, c.numerator * (scale // c.denominator)) for i, j, c in entries]
 
@@ -126,7 +123,7 @@ def _image_terms(entries: Entries, terms: dict[Exponent, Fraction | int]) -> dic
 
 def apply_derivation(n_matrix: RatMatrix, p: MultiPoly) -> MultiPoly:
     """Image of p under the derivation induced by n_matrix, by Leibniz term by term."""
-    return MultiPoly(p.num_vars, _image_terms(_nonzero_entries(n_matrix), p.terms))
+    return MultiPoly(p.num_vars, _image_terms(n_matrix.nonzero_entries(), p.terms))
 
 
 def derivation_on_degree(n_matrix: RatMatrix, degree: int) -> RatMatrix:
@@ -235,13 +232,6 @@ def unipotent_invariants(
     )
 
 
-def _sym_lowering(k: int) -> RatMatrix:
-    rows = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
-    for j in range(k):
-        rows[j + 1][j] = Fraction(k - j)
-    return RatMatrix(rows)
-
-
 def _coordinate_weights_sym(n: int) -> list[int]:
     return [n - 2 * j for j in range(n + 1)]
 
@@ -279,7 +269,7 @@ def _monomials_of_weight(weights: Sequence[int], degree: int, target: int) -> li
 
 
 def _weight_zero_invariants(
-    raising: RatMatrix, lowering: RatMatrix, monos: Sequence[Exponent], num_vars: int
+    raising: IntEntries, lowering: IntEntries, monos: Sequence[Exponent], num_vars: int
 ) -> list[MultiPoly]:
     """sl2 invariants spanned by weight-zero monomials.
 
@@ -290,11 +280,10 @@ def _weight_zero_invariants(
     against the lowering derivation, in integers on its primitive integer
     multiple; the check is an exact assertion, not a heuristic.
     """
-    kernel = _kernel_on_monomials([_integer_entries(raising)], monos)
-    lower = _integer_entries(lowering)
+    kernel = _kernel_on_monomials([raising], monos)
     for v in kernel:
         terms = {m: x for m, x in zip(monos, primitive_int_vec(v)) if x}
-        if any(_image_terms(lower, terms).values()):
+        if any(_image_terms(lowering, terms).values()):
             raise AssertionError("weight-0 raising kernel escaped the lowering kernel")
     return _vectors_to_polys(kernel, monos, num_vars)
 
@@ -317,25 +306,13 @@ def sl2_invariants_binary_form(
             degree=0, basis=(MultiPoly.const(num_vars, 1),), constraints="constants"
         )
     monos = _monomials_of_weight(_coordinate_weights_sym(n), d, 0)
-    basis = _weight_zero_invariants(sym_power_raising(n), _sym_lowering(n), monos, num_vars)
+    basis = _weight_zero_invariants(*sl2_entries(n), monos, num_vars)
     return GradedInvariantSpace(
         degree=d,
         basis=tuple(basis),
         constraints=f"sl2 raising+lowering kernel at weight 0, binary {n}-form",
         gm_weights=tuple(Fraction(0) for _ in basis),
     )
-
-
-def _product_matrices(n: int) -> tuple[RatMatrix, RatMatrix]:
-    """Raising and lowering on (plane coordinates) + (n-form coefficients).
-
-    The plane is the defining 2-dimensional representation plus a
-    trivial line; variables are ordered z0, z1, z2, w0..wn.
-    """
-    line = RatMatrix.zero(1, 1)
-    raising = block_diagonal([sym_power_raising(1), line, sym_power_raising(n)])
-    lowering = block_diagonal([_sym_lowering(1), line, _sym_lowering(n)])
-    return raising, lowering
 
 
 def _bidegree_weight_zero(n: int, a: int, b: int) -> list[Exponent]:
@@ -355,14 +332,16 @@ def product_sl2_invariants(
     """Invariants of bidegree (a, b) on the plane-times-forms product."""
     if a < 0 or b < 0 or a + b > bidegree_cap:
         raise DegreeBoundExceeded(f"bidegree ({a},{b}) outside the cap {bidegree_cap}")
-    raising, lowering = _product_matrices(n)
     num_vars = 3 + n + 1
     monos = _bidegree_weight_zero(n, a, b)
     if not monos:
         return GradedInvariantSpace(
             degree=a + b, basis=(), constraints="empty weight-0 block", bidegree=(a, b)
         )
-    basis = _weight_zero_invariants(raising, lowering, monos, num_vars)
+    # Variables z0, z1, z2, w0..wn: the plane is the defining 2-dimensional
+    # representation plus a trivial line z2, which no operator touches.
+    plane, form = sl2_entries(1), sl2_entries(n, 3)
+    basis = _weight_zero_invariants(plane[0] + form[0], plane[1] + form[1], monos, num_vars)
     return GradedInvariantSpace(
         degree=a + b,
         basis=tuple(basis),
@@ -391,9 +370,9 @@ def restriction_to_slice(space: GradedInvariantSpace, n: int) -> GradedInvariant
     index = {m: i for i, m in enumerate(monos)}
     echelon = row_space_basis([_coefficient_row(q, index) for q in restricted])
     basis = _vectors_to_polys(echelon, monos, n + 1)
-    raising = sym_power_raising(n)
+    raising = sl2_entries(n)[0]
     for q in basis:
-        if not apply_derivation(raising, q).is_zero():
+        if any(_image_terms(raising, q.terms).values()):
             raise AssertionError("restricted invariant escaped the additive-group kernel")
     return GradedInvariantSpace(
         degree=b,

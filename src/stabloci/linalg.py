@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of Fraction; matrices are immutable row-major tuples
-of such tuples wrapped in RatMatrix.  There is no floating point
-anywhere in this package.
+of such tuples wrapped in RatMatrix.  Sparse operators are built and read
+through one view, the list of nonzero (i, j, value) entries:
+`RatMatrix.from_entries` and `RatMatrix.nonzero_entries`.  There is no
+floating point anywhere in this package.
 
 Every elimination goes through one sparse, fraction-free core: rows
 are dicts of nonzero column -> int, `_echelon` brings them to an integer
@@ -31,6 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+IntEntries = list[tuple[int, int, int]]
 
 
 def vec(entries: Iterable) -> Vector:
@@ -108,10 +111,12 @@ class RatMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
+    def from_entries(size: int, entries: Iterable[tuple[int, int, Fraction | int]]) -> "RatMatrix":
+        """The size x size matrix with the given (i, j, value) entries, zero elsewhere."""
+        rows = [[0] * size for _ in range(size)]
+        for i, j, x in entries:
+            rows[i][j] = x
+        return RatMatrix(rows)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RatMatrix":
@@ -119,6 +124,10 @@ class RatMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
+
+    def nonzero_entries(self) -> list[tuple[int, int, Fraction]]:
+        """(i, j, value) for every nonzero entry, row by row."""
+        return [(i, j, x) for i, row in enumerate(self.entries) for j, x in enumerate(row) if x]
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         """The product, summed over the nonzero entries of both factors."""
@@ -140,26 +149,17 @@ class RatMatrix:
             raise ValueError("dimension mismatch in matrix-vector product")
         return tuple(dot(r, v) for r in self.entries)
 
-    def power(self, k: int) -> "RatMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        result = RatMatrix.identity(self.rows)
-        base = self
-        while k > 0:
-            if k & 1:
-                result = result.mul(base)
-            base = base.mul(base) if k > 1 else base
-            k >>= 1
-        return result
-
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.entries)
 
     def is_nilpotent(self) -> bool:
-        """Exact test: N^rows == 0."""
+        """Exact test: N^(2^k) == 0 for the least 2^k >= rows, by k squarings."""
         if self.rows != self.cols:
             return False
-        return self.power(self.rows).is_zero()
+        power = self
+        for _ in range((self.rows - 1).bit_length()):
+            power = power.mul(power)
+        return power.is_zero()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RatMatrix) and self.entries == other.entries
@@ -169,18 +169,6 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(str, r)) for r in self.entries]})"
-
-
-def block_diagonal(blocks: Sequence[RatMatrix]) -> RatMatrix:
-    """Square blocks placed along the diagonal, zero elsewhere."""
-    size = sum(b.rows for b in blocks)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b.entries):
-            rows[offset + i][offset : offset + b.rows] = row
-        offset += b.rows
-    return RatMatrix(rows)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

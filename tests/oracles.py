@@ -16,6 +16,11 @@ reference for the library's sparse fraction-free core; the dense matrix
 product and commutator are the references for the library's sparse
 product and its entrywise grading check.
 
+The operator references build dense matrices entry by entry, as the
+library did before it built every operator from a sparse entry list:
+the sl2 raising and lowering elements on a symmetric power, and square
+blocks placed along a diagonal.
+
 The polynomial references build what the library avoids building: the
 matrix exp(sN) with polynomial entries for unipotent translates, the
 derivation as images of the coordinate functions times partial
@@ -35,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from stabloci.hull import HullPosition
-from stabloci.linalg import dot, is_zero_vec, norm_sq, zero_vec
+from stabloci.linalg import RatMatrix, dot, is_zero_vec, norm_sq, zero_vec
 from stabloci.poly import MultiPoly, rational_roots
 
 
@@ -285,6 +290,34 @@ def reference_commutator(a, b):
         [x - y for x, y in zip(r, s)]
         for r, s in zip(reference_matmul(a, b), reference_matmul(b, a))
     ]
+
+
+def reference_sym_raising(k):
+    """Dense sl2 raising element on the k-th symmetric power: v_j -> j v_{j-1}."""
+    rows = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+    for j in range(1, k + 1):
+        rows[j - 1][j] = Fraction(j)
+    return RatMatrix(rows)
+
+
+def reference_sym_lowering(k):
+    """Dense sl2 lowering element on the k-th symmetric power: v_j -> (k - j) v_{j+1}."""
+    rows = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+    for j in range(k):
+        rows[j + 1][j] = Fraction(k - j)
+    return RatMatrix(rows)
+
+
+def reference_block_diagonal(blocks):
+    """Square blocks placed along the diagonal, zero elsewhere."""
+    size = sum(b.rows for b in blocks)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b.entries):
+            rows[offset + i][offset : offset + b.rows] = row
+        offset += b.rows
+    return RatMatrix(rows)
 
 
 def _exp_nilpotent_poly(n_matrix, var_index, num_vars):

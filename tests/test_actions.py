@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_commutator, reference_matmul
+from oracles import (
+    reference_block_diagonal,
+    reference_commutator,
+    reference_matmul,
+    reference_sym_lowering,
+    reference_sym_raising,
+)
 from stabloci.actions import (
     ActionDocument,
     GradingData,
@@ -22,6 +28,8 @@ from stabloci.actions import (
     jordan_embed_ga,
     parse_document,
     serialize_document,
+    sl2_entries,
+    sym_power_raising,
 )
 from stabloci.corpus import builtin_documents
 from stabloci.errors import (
@@ -64,6 +72,21 @@ def test_jordan_single_block_matches_symbolic_oracle():
         oracle = sym_power_matrix_oracle(k)
         assert action.unipotent.generators[0] == oracle
         assert [w[0] for w in action.torus.weights] == [k - 2 * j for j in range(k + 1)]
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_sl2_entries_match_dense_references(k):
+    raising, lowering = sl2_entries(k)
+    assert RatMatrix.from_entries(k + 1, raising) == sym_power_raising(k) == reference_sym_raising(k)
+    assert RatMatrix.from_entries(k + 1, lowering) == reference_sym_lowering(k)
+    shifted = sl2_entries(k, 3)
+    assert shifted == tuple([(i + 3, j + 3, x) for i, j, x in entries] for entries in (raising, lowering))
+
+
+@pytest.mark.parametrize("blocks", [[1], [4], [1, 1], [2, 3], [3, 1, 2], [1, 1, 1, 5]])
+def test_jordan_generator_matches_block_diagonal_reference(blocks):
+    generator = jordan_embed_ga(blocks).unipotent.generators[0]
+    assert generator == reference_block_diagonal([reference_sym_raising(k) for k in blocks])
 
 
 def test_jordan_cubics_is_the_spec_action():
@@ -223,12 +246,22 @@ def _random_square(rng: random.Random, size: int, nilpotent: bool) -> list[list[
 def test_is_nilpotent_matches_dense_power_oracle():
     rng = random.Random(41)
     for trial in range(300):
-        size = rng.randint(1, 6)
+        size = rng.randint(0, 9)
         rows = _random_square(rng, size, nilpotent=trial % 2 == 0)
         power = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
         for _ in range(size):
             power = reference_matmul(power, rows)
         assert RatMatrix(rows).is_nilpotent() == all(x == 0 for r in power for x in r)
+
+
+@pytest.mark.parametrize("size", range(10))
+def test_is_nilpotent_at_the_full_nilpotency_index(size):
+    """The shift v_j -> v_{j-1} has N^(size-1) != 0 = N^size, the longest
+    chain of a size-square nilpotent; closing it into a cycle is not nilpotent."""
+    shift = [(j - 1, j, 1) for j in range(1, size)]
+    assert RatMatrix.from_entries(size, shift).is_nilpotent()
+    if size:
+        assert not RatMatrix.from_entries(size, shift + [(size - 1, 0, 1)]).is_nilpotent()
 
 
 def test_grading_check_matches_dense_commutator_oracle():

@@ -113,8 +113,9 @@ def test_strata_subset_cap_defaults_to_the_document_bound(tmp_path):
         ["invariants", "--sl2", "5", "--max-degree", "-2"],
         ["invariants", "--action", corpus_path("jordan_3.json"), "--max-degree", "-1"],
         ["strata", "--action", corpus_path("torus_rank2.json"), "--subset-cap", "-1"],
+        ["hatstable", "--action", corpus_path("jordan_3.json"), "--q", "2", "--m", "-3"],
     ],
-    ids=["sl2_max_degree", "action_max_degree", "subset_cap"],
+    ids=["sl2_max_degree", "action_max_degree", "subset_cap", "hatstable_m"],
 )
 def test_negative_bound_is_a_parse_error(argv):
     code, out = run(argv)

@@ -11,6 +11,7 @@ from oracles import (
     certify_closest_point,
     oracle_hull_position,
     oracle_in_hull,
+    reference_closest_point,
     reference_closest_points_by_subset,
     reference_rank,
     reference_solve,
@@ -150,6 +151,16 @@ def test_membership_matches_caratheodory_oracle(points):
 @given(_point_sets())
 def test_position_matches_facet_oracle_at_every_rank(points):
     assert hull_origin_position(points) == oracle_hull_position(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_sets(), st.data())
+def test_closest_point_matches_fraction_reference(points, data):
+    """Each point divided by its own denominator 1, 2, 3 or 5, so the
+    integer scaling meets mixed denominators."""
+    denominators = data.draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=len(points), max_size=len(points)))
+    points = [tuple(x / d for x in p) for p, d in zip(points, denominators)]
+    assert closest_point_to_origin(points) == reference_closest_point(points)
 
 
 def test_empty_input_rejected():

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     reference_bidegree_weight_zero,
+    reference_block_diagonal,
     reference_derivation,
     reference_kernel,
     reference_monomials,
     reference_monomials_of_weight,
     reference_nonvanishing,
     reference_product_rank,
+    reference_sym_lowering,
+    reference_sym_raising,
     reference_weight_counting_dimension,
     reference_weight_zero,
 )
@@ -24,7 +27,6 @@ from stabloci.actions import (
     UnipotentData,
     jet_group_example,
     jordan_embed_ga,
-    sym_power_raising,
 )
 from stabloci.errors import DegreeBoundExceeded, DimensionMismatch
 from stabloci.invariants import (
@@ -393,15 +395,36 @@ def test_product_evaluation_pairing_exists():
     assert space.dim >= 1
 
 
-def test_product_invariants_killed_by_both_derivations():
-    from stabloci.invariants import _product_matrices
+def _product_operators(n):
+    """Dense raising and lowering on z0, z1, z2, w0..wn: the defining
+    representation, a trivial line, and the binary n-forms."""
+    line = RatMatrix.zero(1, 1)
+    raising = reference_block_diagonal([reference_sym_raising(1), line, reference_sym_raising(n)])
+    lowering = reference_block_diagonal([reference_sym_lowering(1), line, reference_sym_lowering(n)])
+    return raising, lowering
 
-    raising, lowering = _product_matrices(3)
+
+def test_product_invariants_killed_by_both_derivations():
+    raising, lowering = _product_operators(3)
     for (a, b) in [(2, 2), (3, 1), (6, 2)]:
         space = product_sl2_invariants(3, a, b)
         for p in space.basis:
             assert reference_derivation(raising, p).is_zero()
             assert reference_derivation(lowering, p).is_zero()
+
+
+@pytest.mark.parametrize("n,a,b", [(1, 2, 2), (2, 2, 1), (2, 3, 3), (3, 3, 1), (3, 2, 2), (3, 6, 2), (4, 4, 2), (4, 2, 3)])
+def test_product_basis_is_the_joint_raising_lowering_kernel(n, a, b):
+    """The product basis equals the dense joint kernel, vector for vector."""
+    monos = reference_bidegree_weight_zero(n, a, b)
+    rows = []
+    for op in _product_operators(n):
+        images = [reference_derivation(op, MultiPoly.monomial(n + 4, m)) for m in monos]
+        for exp in sorted({e for image in images for e in image.terms}):
+            rows.append([image.terms.get(exp, Fraction(0)) for image in images])
+    expected = tuple(MultiPoly(n + 4, dict(zip(monos, v))) for v in reference_kernel(rows, len(monos)))
+    assert expected
+    assert product_sl2_invariants(n, a, b).basis == expected
 
 
 def test_restriction_lands_in_additive_group_invariants():
@@ -477,13 +500,12 @@ def test_nonvanishing_consistent_with_borderline_torus_verdict():
 def test_sl2_basis_is_the_joint_raising_lowering_kernel():
     """The weight-0 raising kernel equals the joint kernel, vector for vector."""
     for n in range(1, 6):
-        lowering = RatMatrix([[n - j if i == j + 1 else 0 for j in range(n + 1)] for i in range(n + 1)])
         for d in range(1, 6):
             monos = monomials_of_degree(n + 1, d)
             keep = [c for c, m in enumerate(monos) if sum(e * (n - 2 * j) for j, e in enumerate(m)) == 0]
             rows = [
                 [row[c] for c in keep]
-                for op in (sym_power_raising(n), lowering)
+                for op in (reference_sym_raising(n), reference_sym_lowering(n))
                 for row in derivation_on_degree(op, d).entries
             ]
             joint = reference_kernel(rows, len(keep)) if keep else []

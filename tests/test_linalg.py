@@ -26,7 +26,7 @@ rationals = st.fractions(
 
 
 def test_kernel_identity_is_trivial():
-    assert rref_kernel(RatMatrix.identity(2)) == []
+    assert rref_kernel(RatMatrix.from_entries(2, [(0, 0, 1), (1, 1, 1)])) == []
 
 
 def test_kernel_zero_matrix_is_everything():
@@ -170,6 +170,15 @@ def test_nilpotency_detection():
     assert RatMatrix([[0, 1], [0, 0]]).is_nilpotent()
     assert not RatMatrix([[0, 1], [1, 0]]).is_nilpotent()
     assert RatMatrix.zero(3, 3).is_nilpotent()
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(st.lists(rationals | st.just(Fraction(0)), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_sparse_entry_view_round_trips(rows):
+    m = RatMatrix(rows)
+    entries = m.nonzero_entries()
+    assert all(x != 0 and m.entry(i, j) == x for i, j, x in entries)
+    assert len(entries) == sum(x != 0 for r in rows for x in r)
+    assert RatMatrix.from_entries(m.rows, entries) == m
 
 
 def test_row_space_basis_is_canonical():

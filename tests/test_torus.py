@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     certify_closest_point,
+    reference_closest_point,
     reference_closest_points_by_subset,
     reference_stratification,
     vec_add,
@@ -262,7 +263,7 @@ def test_stratification_partitions_fourteen_rank_two_weights():
     rng = random.Random(14)
     for idx, group in strat.assignments:
         for support in rng.sample(group, min(3, len(group))):
-            assert closest_point_to_origin([weights[i] for i in support]) == idx.beta
+            assert reference_closest_point([weights[i] for i in support]) == idx.beta
     text = "\n".join(
         f"{' '.join(map(str, idx.beta))};{idx.norm_sq};{group}" for idx, group in strat.assignments
     )
@@ -347,7 +348,7 @@ def test_stratification_matches_per_support_enumeration(case):
     table = closest_points_by_subset([tuple(int(x * d) for x in p) for p in distinct])
     assert sorted(table) == list(range(1, 2 ** len(distinct)))
     for mask, (v, q) in table.items():
-        expected = closest_point_to_origin([p for i, p in enumerate(distinct) if mask >> i & 1])
+        expected = reference_closest_point([p for i, p in enumerate(distinct) if mask >> i & 1])
         beta = tuple(Fraction(x, q * d) for x in v)
         assert beta == expected and Fraction(sum(x * x for x in v), (q * d) ** 2) == norm_sq(expected)
 
