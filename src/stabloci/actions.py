@@ -339,11 +339,6 @@ def sl2_entries(k: int, offset: int = 0) -> tuple[IntEntries, IntEntries]:
     return raising, lowering
 
 
-def sym_power_raising(k: int) -> RatMatrix:
-    """Matrix of the sl2 raising element on the k-th symmetric power."""
-    return RatMatrix.from_entries(k + 1, sl2_entries(k)[0])
-
-
 def jordan_embed_ga(block_sizes: Sequence[int], chi: Fraction = Fraction(0)) -> WeightedAction:
     """Additive-group action on P^n from Jordan blocks of sizes k_i + 1.
 

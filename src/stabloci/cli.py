@@ -51,9 +51,15 @@ def _frs(xs) -> list[str]:
     return [_fr(x) for x in xs]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Raise a usage error as a ParseError, which `run` maps to exit 2."""
+        raise ParseError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabloci",
         description="Exact stability loci, stratifications and invariants for linear actions",
     )
@@ -328,6 +334,8 @@ def cmd_hatstable(args) -> dict:
 
 
 def cmd_invariants(args) -> dict:
+    if args.sl2 and (args.action or args.points or args.chi):
+        raise ParseError("--sl2 tables take no --action, --points or --chi")
     if args.sl2:
         n = args.sl2
         bound = _bound(args.max_degree, 6, "--max-degree")
@@ -438,10 +446,9 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    parser = build_parser()
-    args = parser.parse_args(_attach_signed_values(argv))
     start = time.perf_counter()
     try:
+        args = build_parser().parse_args(_attach_signed_values(argv))
         payload = _COMMANDS[args.command](args)
     except ParseError as exc:
         return EXIT_PARSE, f"parse error: {exc}\n"

@@ -11,9 +11,21 @@ functions (the negative transpose action), extended by Leibniz.  It is
 applied term by term through the nonzero entries of N: a term c x^e
 gains  -e_i N[i][j] c x^(e - u_i + u_j)  for each N[i][j] != 0, u_i
 the i-th unit exponent.  That one step, `_leibniz`, serves every image:
-`apply_derivation` sums it over a polynomial's terms, and the kernel
-builder writes it straight into the rows of the kernel matrix.  Each
-caller takes the entry list of N once, not once per monomial.
+`_image_terms` sums it over a polynomial's terms, `derivation_on_degree`
+writes it into a dense matrix, and the kernel builder writes it straight
+into the rows of the kernel matrix.  Each caller takes the entry list of
+N once, not once per monomial.
+
+Every table is the joint kernel of raising derivations on blocks of
+monomials of one torus weight, and one builder, `_block_basis`, turns
+the blocks into a basis tagged with their weights.  A document's Ga
+table splits the monomials of a degree by grading weight, or keeps them
+as one block without a grading.  The SL(2) table of binary n-forms is
+one block, the weight-zero monomials: by Roberts' theorem (1861) it is
+the weight-zero block of the Ga table of the Jordan block of size n + 1.
+The plane-times-forms table is the weight-zero block of one bidegree.
+Degree 0 is no special case: its one monomial is killed by every
+derivation.
 
 The kernel rows are integers.  The SL(2) raising and lowering elements
 are the integer entry lists of `actions.sl2_entries`; only document
@@ -29,10 +41,10 @@ of the nonvanishing test, taken at the point's primitive integer vector
 l x, l > 0.  A degree-d invariant is homogeneous, so c p(l x) =
 c l^d p(x), which is zero exactly when p(x) is.
 
-The SL(2) tables need only the monomials of torus weight zero.  They are
-listed directly, by a recursion over the weights that never enters a
-branch without a weight-zero completion (`_monomials_of_weight`), not
-filtered out of all C(n + d, d) monomials of degree d.
+The SL(2) blocks are listed directly, by a recursion over the weights
+that never enters a branch without a weight-zero completion
+(`_monomials_of_weight`), not filtered out of all C(n + d, d) monomials
+of degree d.
 
 All weight bookkeeping below uses the induced function weights, which
 are the negatives of the coordinate weights.
@@ -46,8 +58,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import gcd, lcm, prod
-from operator import add, getitem
-from typing import Iterable, Sequence
+from operator import add, getitem, mul
+from typing import Sequence
 
 from .actions import ProjectivePoint, UnipotentData, sl2_entries
 from .errors import DegreeBoundExceeded, DimensionMismatch, ZeroForm
@@ -121,45 +133,32 @@ def _image_terms(entries: Entries, terms: dict[Exponent, Fraction | int]) -> dic
     return out
 
 
-def apply_derivation(n_matrix: RatMatrix, p: MultiPoly) -> MultiPoly:
-    """Image of p under the derivation induced by n_matrix, by Leibniz term by term."""
-    return MultiPoly(p.num_vars, _image_terms(n_matrix.nonzero_entries(), p.terms))
-
-
 def derivation_on_degree(n_matrix: RatMatrix, degree: int) -> RatMatrix:
     """Exact matrix of the induced derivation on the degree-d monomials."""
     if degree < 0:
         raise DegreeBoundExceeded("degree must be nonnegative")
-    size = n_matrix.rows
-    monos = monomials_of_degree(size, degree)
+    monos = monomials_of_degree(n_matrix.rows, degree)
     index = {m: r for r, m in enumerate(monos)}
-    columns = [
-        _coefficient_row(apply_derivation(n_matrix, MultiPoly.monomial(size, mono)), index)
-        for mono in monos
-    ]
-    return RatMatrix(zip(*columns))
+    entries = n_matrix.nonzero_entries()
+    rows = [[Fraction(0)] * len(monos) for _ in monos]
+    for c, mono in enumerate(monos):
+        for exp, x in _leibniz(entries, mono):
+            rows[index[exp]][c] += x
+    return RatMatrix(rows)
 
 
-def _coefficient_row(p: MultiPoly, index: dict[Exponent, int]) -> list[Fraction]:
-    """Coefficients of p against the monomials numbered by `index`."""
-    row = [Fraction(0)] * len(index)
-    for exp, c in p.terms.items():
-        row[index[exp]] = c
-    return row
-
-
-def _kernel_on_monomials(scaled: Sequence[IntEntries], monos: Sequence[Exponent]) -> list[Vector]:
+def _kernel_on_monomials(operators: Sequence[IntEntries], monos: Sequence[Exponent]) -> list[Vector]:
     """Joint kernel of derivations restricted to a span of monomials.
 
-    The derivations come as their `_integer_entries`, which leave each
-    kernel unchanged.  One sparse integer row per operator and image
-    monomial, holding the coefficients of that monomial in the images of
-    the span, written straight from the exponent tuples; a coefficient
-    that cancels leaves its row, so the rows go to `int_kernel` as built.
+    The derivations come as integer entry lists.  One sparse integer row
+    per operator and image monomial, holding the coefficients of that
+    monomial in the images of the span, written straight from the
+    exponent tuples; a coefficient that cancels leaves its row, so the
+    rows go to `int_kernel` as built.
     """
     rows: dict[tuple[int, Exponent], dict[int, int]] = {}
     for c, mono in enumerate(monos):
-        for op_index, entries in enumerate(scaled):
+        for op_index, entries in enumerate(operators):
             for exp, x in _leibniz(entries, mono):
                 row = rows.setdefault((op_index, exp), {})
                 y = row.get(c, 0) + x
@@ -170,14 +169,35 @@ def _kernel_on_monomials(scaled: Sequence[IntEntries], monos: Sequence[Exponent]
     return int_kernel(list(rows.values()), len(monos))
 
 
-def _vectors_to_polys(
-    vectors: Iterable[Vector], monos: Sequence[Exponent], num_vars: int
-) -> list[MultiPoly]:
-    polys = []
-    for v in vectors:
-        terms = {m: c for m, c in zip(monos, v) if c != 0}
-        polys.append(MultiPoly(num_vars, terms))
-    return polys
+def _block_basis(
+    blocks: dict[int, Sequence[Exponent]],
+    operators: Sequence[IntEntries],
+    num_vars: int,
+    lowering: IntEntries | None = None,
+) -> tuple[tuple[MultiPoly, ...], tuple[Fraction, ...]]:
+    """The joint kernel of the operators on each block of monomials, keyed
+    by function weight w, in increasing w: the basis, and the coordinate
+    weight -w of each element.
+
+    With lowering entries the operators are sl2 raising elements and the
+    blocks have weight zero.  A weight-zero vector killed by the raising
+    derivation is a highest weight vector of weight zero, so it spans a
+    trivial summand and the lowering derivation kills it too; every
+    kernel vector is checked against it, in integers on its primitive
+    integer multiple.  The check is an exact assertion, not a heuristic.
+    """
+    basis: list[MultiPoly] = []
+    weights: list[Fraction] = []
+    for w in sorted(blocks):
+        monos = blocks[w]
+        for v in _kernel_on_monomials(operators, monos):
+            if lowering is not None:
+                terms = {m: x for m, x in zip(monos, primitive_int_vec(v)) if x}
+                if any(_image_terms(lowering, terms).values()):
+                    raise AssertionError("weight-0 raising kernel escaped the lowering kernel")
+            basis.append(MultiPoly(num_vars, dict(zip(monos, v))))
+            weights.append(Fraction(-w))
+    return tuple(basis), tuple(weights)
 
 
 def unipotent_invariants(
@@ -190,45 +210,25 @@ def unipotent_invariants(
 
     When grading weights are supplied the computation runs per weight
     block (the derivations shift function weights homogeneously) and
-    each basis element is tagged with its function weight.
+    each basis element is tagged with its function weight; without them
+    all monomials form one block.
     """
     if degree < 0 or degree > degree_cap:
         raise DegreeBoundExceeded(f"degree {degree} outside [0, {degree_cap}]")
     num_vars = u.generators[0].rows if u.dim else (len(gm_weights) if gm_weights else 0)
     if num_vars == 0:
         raise DimensionMismatch("cannot infer the coordinate count")
-    if degree == 0:
-        return GradedInvariantSpace(
-            degree=0,
-            basis=(MultiPoly.const(num_vars, 1),),
-            constraints="constants",
-            gm_weights=(Fraction(0),) if gm_weights is not None else None,
-        )
-    monos = monomials_of_degree(num_vars, degree)
-    constraints = f"annihilated by {u.dim} unipotent derivation(s), degree {degree}"
-    scaled = [_integer_entries(g) for g in u.generators]
-    if gm_weights is None:
-        kernel = _kernel_on_monomials(scaled, monos)
-        basis = _vectors_to_polys(kernel, monos, num_vars)
-        return GradedInvariantSpace(degree=degree, basis=tuple(basis), constraints=constraints)
-    fn_weights = [-w for w in gm_weights]
+    graded = gm_weights is not None
     blocks: dict[int, list[Exponent]] = {}
-    for mono in monos:
-        w = sum(e * fw for e, fw in zip(mono, fn_weights))
-        blocks.setdefault(w, []).append(mono)
-    basis: list[MultiPoly] = []
-    weights: list[Fraction] = []
-    for w in sorted(blocks):
-        block = blocks[w]
-        kernel = _kernel_on_monomials(scaled, block)
-        for p in _vectors_to_polys(kernel, block, num_vars):
-            basis.append(p)
-            weights.append(Fraction(-w))
+    for mono in monomials_of_degree(num_vars, degree):
+        blocks.setdefault(-sum(map(mul, mono, gm_weights)) if graded else 0, []).append(mono)
+    basis, weights = _block_basis(blocks, [_integer_entries(g) for g in u.generators], num_vars)
     return GradedInvariantSpace(
         degree=degree,
-        basis=tuple(basis),
-        constraints=constraints + ", split by grading weight",
-        gm_weights=tuple(weights),
+        basis=basis,
+        constraints=f"annihilated by {u.dim} unipotent derivation(s), degree {degree}"
+        + (", split by grading weight" if graded else ""),
+        gm_weights=weights if graded else None,
     )
 
 
@@ -268,26 +268,6 @@ def _monomials_of_weight(weights: Sequence[int], degree: int, target: int) -> li
     return out
 
 
-def _weight_zero_invariants(
-    raising: IntEntries, lowering: IntEntries, monos: Sequence[Exponent], num_vars: int
-) -> list[MultiPoly]:
-    """sl2 invariants spanned by weight-zero monomials.
-
-    A weight-zero vector killed by the raising derivation is a highest
-    weight vector of weight zero, so it spans a trivial summand and the
-    lowering derivation kills it too.  The kernel is therefore computed
-    for the raising derivation alone, and every element is then checked
-    against the lowering derivation, in integers on its primitive integer
-    multiple; the check is an exact assertion, not a heuristic.
-    """
-    kernel = _kernel_on_monomials([raising], monos)
-    for v in kernel:
-        terms = {m: x for m, x in zip(monos, primitive_int_vec(v)) if x}
-        if any(_image_terms(lowering, terms).values()):
-            raise AssertionError("weight-0 raising kernel escaped the lowering kernel")
-    return _vectors_to_polys(kernel, monos, num_vars)
-
-
 def sl2_invariants_binary_form(
     n: int, d: int, degree_cap: int = 12
 ) -> GradedInvariantSpace:
@@ -300,18 +280,14 @@ def sl2_invariants_binary_form(
         raise DimensionMismatch("form degree must be >= 1")
     if d < 0 or d > degree_cap:
         raise DegreeBoundExceeded(f"degree {d} outside [0, {degree_cap}]")
-    num_vars = n + 1
-    if d == 0:
-        return GradedInvariantSpace(
-            degree=0, basis=(MultiPoly.const(num_vars, 1),), constraints="constants"
-        )
-    monos = _monomials_of_weight(_coordinate_weights_sym(n), d, 0)
-    basis = _weight_zero_invariants(*sl2_entries(n), monos, num_vars)
+    raising, lowering = sl2_entries(n)
+    block = {0: _monomials_of_weight(_coordinate_weights_sym(n), d, 0)}
+    basis, weights = _block_basis(block, [raising], n + 1, lowering)
     return GradedInvariantSpace(
         degree=d,
-        basis=tuple(basis),
+        basis=basis,
         constraints=f"sl2 raising+lowering kernel at weight 0, binary {n}-form",
-        gm_weights=tuple(Fraction(0) for _ in basis),
+        gm_weights=weights,
     )
 
 
@@ -332,21 +308,16 @@ def product_sl2_invariants(
     """Invariants of bidegree (a, b) on the plane-times-forms product."""
     if a < 0 or b < 0 or a + b > bidegree_cap:
         raise DegreeBoundExceeded(f"bidegree ({a},{b}) outside the cap {bidegree_cap}")
-    num_vars = 3 + n + 1
-    monos = _bidegree_weight_zero(n, a, b)
-    if not monos:
-        return GradedInvariantSpace(
-            degree=a + b, basis=(), constraints="empty weight-0 block", bidegree=(a, b)
-        )
     # Variables z0, z1, z2, w0..wn: the plane is the defining 2-dimensional
     # representation plus a trivial line z2, which no operator touches.
     plane, form = sl2_entries(1), sl2_entries(n, 3)
-    basis = _weight_zero_invariants(plane[0] + form[0], plane[1] + form[1], monos, num_vars)
+    block = {0: _bidegree_weight_zero(n, a, b)}
+    basis, weights = _block_basis(block, [plane[0] + form[0]], 3 + n + 1, plane[1] + form[1])
     return GradedInvariantSpace(
         degree=a + b,
-        basis=tuple(basis),
+        basis=basis,
         constraints=f"sl2 invariants of bidegree ({a},{b}) on plane x forms",
-        gm_weights=tuple(Fraction(0) for _ in basis),
+        gm_weights=weights,
         bidegree=(a, b),
     )
 
@@ -367,9 +338,8 @@ def restriction_to_slice(space: GradedInvariantSpace, n: int) -> GradedInvariant
         q = p.substitute_constants({0: Fraction(1), 1: Fraction(0), 2: Fraction(1)})
         restricted.append(q.restrict_vars(keep))
     monos = monomials_of_degree(n + 1, b)
-    index = {m: i for i, m in enumerate(monos)}
-    echelon = row_space_basis([_coefficient_row(q, index) for q in restricted])
-    basis = _vectors_to_polys(echelon, monos, n + 1)
+    echelon = row_space_basis([[q.terms.get(m, Fraction(0)) for m in monos] for q in restricted])
+    basis = [MultiPoly(n + 1, dict(zip(monos, v))) for v in echelon]
     raising = sl2_entries(n)[0]
     for q in basis:
         if any(_image_terms(raising, q.terms).values()):

@@ -9,14 +9,17 @@ floating point anywhere in this package.
 Every elimination goes through one sparse, fraction-free core: rows
 are dicts of nonzero column -> int, `_echelon` brings them to an integer
 echelon form (Bareiss 1968; Markowitz 1957), and `_reduce` turns that
-into the reduced echelon form.  The dense readers (`rref`, `rref_kernel`,
-`solve`, `matrix_rank`, `row_space_basis`) serve the tiny hull and
-grading matrices and take each rational row's primitive integer multiple
-first.  The sparse readers serve the invariant-ring matrices, which
-reach hundreds of rows and columns with a few nonzeros per row, and take
-integer rows as they are: `int_kernel` the derivation rows of
-`invariants._kernel_on_monomials`, `int_rank` the product rows of
-`invariants.generator_degree_report`, which multiply each invariant's
+into the reduced echelon form.  The dense readers take each rational
+row's primitive integer multiple first.  `rref` serves the hull's affine
+spans, and through `solve` and `row_space_basis` the graded vanishing
+systems and the slice restriction of the invariant tables;
+`rref_kernel` hands its integer rows to `int_kernel` for the graded
+stabiliser, minimal-locus and blow-up centre kernels; `matrix_rank`
+serves only the tests.  The sparse readers serve the invariant-ring
+matrices, which reach hundreds of rows and columns with a few nonzeros
+per row, and take integer rows as they are: `int_kernel` the derivation
+rows of `invariants._kernel_on_monomials`, `int_rank` the product rows
+of `invariants.generator_degree_report`, which multiply each invariant's
 primitive integer multiple (a row scaled by a nonzero constant spans the
 same line, so the rank is unchanged).  When the echelon form has a pivot
 in every column the kernel is zero, and `int_kernel` returns it without
@@ -180,9 +183,9 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
 
 
 def rref_kernel(m: RatMatrix) -> list[Vector]:
-    """Basis of {v : m v = 0}, one vector per free column."""
-    reduced, pivots = rref(m.entries)
-    return _kernel_basis({c: dict(enumerate(r)) for c, r in zip(pivots, reduced)}, m.cols)
+    """Basis of {v : m v = 0}, one vector per free column: the kernel of
+    each row's primitive integer multiple."""
+    return int_kernel([{j: x for j, x in enumerate(primitive_int_vec(r)) if x} for r in m.entries], m.cols)
 
 
 def solve(m: RatMatrix, rhs: Sequence[Fraction]) -> Vector | None:
@@ -277,7 +280,7 @@ def int_rank(rows: Iterable[dict[int, int]]) -> int:
 
 def int_kernel(rows: list[dict[int, int]], ncols: int) -> list[Vector]:
     """Kernel basis of sparse integer rows (dicts of column -> nonzero int),
-    the one rref_kernel returns."""
+    one vector per free column, from the reduced echelon form."""
     pivots = _echelon(rows)
     if len(pivots) == ncols:
         return []

@@ -24,7 +24,8 @@ blocks placed along a diagonal.
 The polynomial references build what the library avoids building: the
 matrix exp(sN) with polynomial entries for unipotent translates, the
 derivation as images of the coordinate functions times partial
-derivatives, and root multiplicities by repeated synthetic division.
+derivatives, the kernel rows of a span of monomials read off those
+images, and root multiplicities by repeated synthetic division.
 
 The invariant-table references are the paths the library ran before it
 went integer and listed only what it needs: monomials of a weight
@@ -383,6 +384,18 @@ def reference_derivation(n_matrix, p):
             image = image.sub(MultiPoly.variable(num_vars, j).scale(c))
         out = out.add(image.mul(reference_partial(p, i)))
     return out
+
+
+def reference_derivation_rows(operators, monos):
+    """The rows of the joint derivation matrix on a span of monomials: one
+    per operator and image monomial, holding that monomial's coefficient
+    in the `reference_derivation` image of each monomial of the span."""
+    rows = []
+    for op in operators:
+        images = [reference_derivation(op, MultiPoly.monomial(op.rows, m)) for m in monos]
+        for exp in sorted({e for image in images for e in image.terms}):
+            rows.append([image.terms.get(exp, Fraction(0)) for image in images])
+    return rows
 
 
 def rational_roots_with_multiplicity(coeffs):

@@ -278,3 +278,46 @@ def test_absent_or_null_points_give_an_empty_panel(tmp_path, absent):
     code, out = run(["stability", "--action", str(path)])
     assert code == EXIT_OK
     assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strata", "--action", corpus_path("torus_line.json"), "--subset-cap", "x"],
+        ["bogus"],
+        ["stability"],
+        ["stability", "--action", corpus_path("torus_line.json"), "--format", "yaml"],
+        ["invariants", "--sl2", "3", "--unknown-flag"],
+        [],
+    ],
+    ids=["bad_int", "unknown_command", "missing_action", "bad_choice", "unknown_flag", "no_command"],
+)
+def test_usage_errors_are_returned_as_parse_errors(argv, capsys):
+    code, out = run(argv)
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["invariants", "--help"])
+    assert exc.value.code == 0
+    assert "--sl2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--action", corpus_path("jordan_3.json")],
+        ["--action", corpus_path("jordan_3.json"), "--points", "a:1,0,0,0"],
+        ["--points", "a:1,0,0,0"],
+        ["--chi", "1"],
+    ],
+    ids=["action", "action_points", "points", "chi"],
+)
+def test_sl2_tables_refuse_document_options(extra):
+    code, out = run(["invariants", "--sl2", "3", *extra])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ") and "--sl2" in out
+    assert run(["invariants", "--sl2", "3"])[0] == EXIT_OK

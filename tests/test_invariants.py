@@ -12,6 +12,7 @@ from oracles import (
     reference_bidegree_weight_zero,
     reference_block_diagonal,
     reference_derivation,
+    reference_derivation_rows,
     reference_kernel,
     reference_monomials,
     reference_monomials_of_weight,
@@ -33,10 +34,10 @@ from stabloci.invariants import (
     GradedInvariantSpace,
     _bidegree_weight_zero,
     _coordinate_weights_sym,
+    _image_terms,
     _integer_entries,
     _kernel_on_monomials,
     _monomials_of_weight,
-    apply_derivation,
     derivation_on_degree,
     generator_degree_report,
     invariant_nonvanishing_verdict,
@@ -110,7 +111,8 @@ def _matrix_and_poly(draw):
 @given(_matrix_and_poly())
 def test_apply_derivation_matches_images_times_partials(case):
     n_matrix, p = case
-    assert apply_derivation(n_matrix, p) == reference_derivation(n_matrix, p)
+    image = _image_terms(n_matrix.nonzero_entries(), p.terms)
+    assert MultiPoly(p.num_vars, image) == reference_derivation(n_matrix, p)
 
 
 _mixed_entry = st.one_of(
@@ -157,14 +159,47 @@ def _operators_and_span(draw):
 def test_kernel_on_monomials_matches_reference_kernel(case):
     """The integer rows give the kernel that the Fraction images do."""
     operators, monos = case
-    n = operators[0].rows
-    rows = []
-    for op in operators:
-        images = [reference_derivation(op, MultiPoly.monomial(n, m)) for m in monos]
-        for exp in sorted({e for image in images for e in image.terms}):
-            rows.append([image.terms.get(exp, Fraction(0)) for image in images])
+    rows = reference_derivation_rows(operators, monos)
     scaled = [_integer_entries(op) for op in operators]
     assert _kernel_on_monomials(scaled, monos) == reference_kernel(rows, len(monos))
+
+
+@st.composite
+def _graded_generators(draw):
+    """Coordinate grading weights d_0..d_{n-1} and one to three generators,
+    each with a positive adjoint weight w and entries, mixed in sign and
+    denominator, only where d_i - d_j = w; such generators are nilpotent
+    and shift the function weight of every monomial by w."""
+    n = draw(st.integers(1, 4))
+    grading = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    generators, weights = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.integers(1, 4))
+        entries = [(i, j, draw(_mixed_entry)) for i in range(n) for j in range(n) if grading[i] - grading[j] == w]
+        generators.append(RatMatrix.from_entries(n, entries))
+        weights.append(w)
+    return UnipotentData(generators=tuple(generators), grading_weights=tuple(weights)), tuple(grading)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graded_generators(), st.integers(0, 4), st.booleans())
+def test_unipotent_invariants_match_blockwise_reference_kernel(case, degree, graded):
+    """The block builder gives, vector for vector and tag for tag, the
+    reference kernel of each grading block in increasing function weight,
+    or of all monomials at once without a grading."""
+    u, grading = case
+    blocks: dict[int, list] = {}
+    for m in reference_monomials(len(grading), degree):
+        blocks.setdefault(-sum(e * g for e, g in zip(m, grading)) if graded else 0, []).append(m)
+    basis, weights = [], []
+    for w in sorted(blocks):
+        rows = reference_derivation_rows(u.generators, blocks[w])
+        for v in reference_kernel(rows, len(blocks[w])):
+            basis.append(MultiPoly(len(grading), dict(zip(blocks[w], v))))
+            weights.append(Fraction(-w))
+    space = unipotent_invariants(u, degree, gm_weights=grading if graded else None)
+    assert space.basis == tuple(basis)
+    assert space.gm_weights == (tuple(weights) if graded else None)
 
 
 def test_unipotent_invariants_degree_zero_is_constants():
@@ -500,18 +535,10 @@ def test_nonvanishing_consistent_with_borderline_torus_verdict():
 def test_sl2_basis_is_the_joint_raising_lowering_kernel():
     """The weight-0 raising kernel equals the joint kernel, vector for vector."""
     for n in range(1, 6):
-        for d in range(1, 6):
-            monos = monomials_of_degree(n + 1, d)
-            keep = [c for c, m in enumerate(monos) if sum(e * (n - 2 * j) for j, e in enumerate(m)) == 0]
-            rows = [
-                [row[c] for c in keep]
-                for op in (reference_sym_raising(n), reference_sym_lowering(n))
-                for row in derivation_on_degree(op, d).entries
-            ]
-            joint = reference_kernel(rows, len(keep)) if keep else []
-            expected = tuple(
-                MultiPoly(n + 1, {monos[c]: x for c, x in zip(keep, v)}) for v in joint
-            )
+        for d in range(0, 6):
+            monos = reference_monomials_of_weight([n - 2 * j for j in range(n + 1)], d, 0)
+            rows = reference_derivation_rows((reference_sym_raising(n), reference_sym_lowering(n)), monos)
+            expected = tuple(MultiPoly(n + 1, dict(zip(monos, v))) for v in reference_kernel(rows, len(monos)))
             assert sl2_invariants_binary_form(n, d).basis == expected, (n, d)
 
 
