@@ -151,6 +151,11 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
             ["invariants", "--action", "tests/golden/cli/rational_jordan.json", "--max-degree", "8"],
         )
     )
+    # The same generator at its well-adapted twist -3, so the translate
+    # series and the stabiliser rows run over those denominators.
+    rational = "tests/golden/cli/rational_jordan.json"
+    argvs.append(("graded__rational_jordan", ["graded", "--action", rational, "--chi=-3"]))
+    argvs.append(("hatstable__rational_jordan", ["hatstable", "--action", rational, "--chi=-3", "--q=1/2"]))
     # Points with mixed denominators and signs, so the nonvanishing test
     # evaluates at rational coordinates.  Up to degree 8 the jet-group
     # invariants are the powers of x0, so every witness there has degree 1
