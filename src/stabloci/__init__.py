@@ -39,7 +39,6 @@ from .graded import (
 from .hull import HullPosition, closest_point_to_origin, hull_origin_position
 from .invariants import (
     GradedInvariantSpace,
-    derivation_on_degree,
     invariant_nonvanishing_verdict,
     points_at_infinity_classifier,
     product_sl2_invariants,

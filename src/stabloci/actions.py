@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,7 +27,7 @@ from .errors import (
     NonPositiveGradingWeight,
     NotNilpotent,
 )
-from .linalg import IntEntries, RatMatrix, Vector, vec
+from .linalg import IntEntries, RatMatrix, Vector, integer_entries, vec
 from .ratio import format_fraction, parse_fraction
 
 
@@ -54,7 +55,7 @@ class TorusWeights:
 class GradingData:
     """Grading circle weights per coordinate plus a character twist.
 
-    `gm_weights` is kept in coordinate order.
+    `gm_weights` is kept in coordinate order; `twisted_weights` is built once.
     """
 
     gm_weights: tuple[int, ...]
@@ -62,11 +63,12 @@ class GradingData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gm_weights", tuple(int(w) for w in self.gm_weights))
-        object.__setattr__(self, "character_twist", Fraction(self.character_twist))
+        chi = Fraction(self.character_twist)
+        object.__setattr__(self, "character_twist", chi)
+        object.__setattr__(self, "_twisted", tuple(w - chi for w in self.gm_weights))
 
     def twisted_weights(self) -> tuple[Fraction, ...]:
-        chi = self.character_twist
-        return tuple(Fraction(w) - chi for w in self.gm_weights)
+        return self._twisted
 
     def is_trivial(self) -> bool:
         return len(set(self.gm_weights)) <= 1
@@ -94,6 +96,11 @@ class UnipotentData:
     @property
     def dim(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def integer_generators(self) -> tuple[tuple[int, IntEntries], ...]:
+        """Each generator's `integer_entries`, read once."""
+        return tuple(integer_entries(g) for g in self.generators)
 
 
 class ProjectivePoint:

@@ -20,6 +20,18 @@ generators raise weights, so "fixes the point projectively" means
 conditions exactly decidable for one generator, or for fixed loci of
 coordinate dimension at most two; larger cases fall back to seeded
 exact-per-sample checks and say so.
+
+Both tests build their polynomials and rows over integers.  A nonzero
+global factor multiplies every coordinate polynomial, or every row of a
+linear system, by one constant, so it leaves every zero, gcd degree,
+rational root and kernel, and with them every witness, unchanged.  The
+translate series run on x times the lcm of its denominators and on each
+generator N times the lcm L of its own, as K! L^K sum_k s^k/k! N^k,
+K + 1 the size; their product is divided out once, at the end, which
+keeps the gcd and root finding on small coefficients.  The stabiliser
+rows take the point's primitive integer vector and one common lcm for
+all generators, since a factor per generator would rescale that
+generator's coordinate of the kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import ceil
+from math import ceil, factorial, lcm
 from typing import Sequence
 
 from .actions import GradingData, ProjectivePoint, UnipotentData, WeightedAction
@@ -40,7 +52,7 @@ from .errors import (
     TrivialAction,
     UnsupportedUnipotentDimension,
 )
-from .linalg import RatMatrix, Vector, rref_kernel, solve, zero_vec
+from .linalg import IntEntries, RatMatrix, Vector, int_kernel, primitive_int_vec, rref_kernel, solve, zero_vec
 from .poly import (
     Exponent,
     MultiPoly,
@@ -177,27 +189,29 @@ def is_adapted(g: GradingData) -> bool:
 
 
 def _exp_series(
-    n_matrix: RatMatrix, var_index: int, coords: list[dict[Exponent, Fraction]]
-) -> list[dict[Exponent, Fraction]]:
-    """exp(s N) applied to polynomial coordinates, s the variable `var_index`.
-
-    Sums the finite series  sum_k s^k/k! N^k coords: each term is N times
-    the previous one, multiplied by s/k, through the nonzero entries of N.
-    """
-    entries = n_matrix.nonzero_entries()
-    total = [dict(p) for p in coords]
+    entries: IntEntries, scale: int, var_index: int, coords: list[dict[Exponent, int]]
+) -> list[dict[Exponent, int]]:
+    """K! L^K exp(s N) on K + 1 integer polynomial coordinates, s the
+    variable `var_index`, L = `scale` and L N with the given `entries`:
+    the sum of K!/k! L^(K-k) s^k (L N)^k coords, each term L N times the
+    previous one, shifted by s, until it vanishes."""
+    top = len(coords) - 1
+    weights = [factorial(top) // factorial(k) * scale ** (top - k) for k in range(top + 1)]
+    total = [{e: weights[0] * v for e, v in p.items()} for p in coords]
     term = coords
-    for k in range(1, n_matrix.rows):
-        step: list[dict[Exponent, Fraction]] = [{} for _ in term]
+    for k in range(1, top + 1):
+        step: list[dict[Exponent, int]] = [{} for _ in term]
         for i, j, c in entries:
-            out, scale = step[i], c / k
+            out = step[i]
             for exp, v in term[j].items():
                 key = exp[:var_index] + (exp[var_index] + 1,) + exp[var_index + 1 :]
-                out[key] = out.get(key, 0) + scale * v
+                out[key] = out.get(key, 0) + c * v
         term = step
+        if not any(term):
+            break
         for acc, p in zip(total, term):
             for e, v in p.items():
-                acc[e] = acc.get(e, 0) + v
+                acc[e] = acc.get(e, 0) + weights[k] * v
     return total
 
 
@@ -211,11 +225,14 @@ def translate_coordinate_polys(
     kind), which is the data model's standing assumption.  The factors
     act right to left, each as its exponential series on the vector.
     """
-    dim = u.dim
-    coords = [{(0,) * dim: c} if c else {} for c in x.coords]
+    dim, top = u.dim, len(x.coords) - 1
+    denom = lcm(*(c.denominator for c in x.coords))
+    coords = [{(0,) * dim: c.numerator * (denom // c.denominator)} if c else {} for c in x.coords]
     for j in range(dim - 1, -1, -1):
-        coords = _exp_series(u.generators[j], j, coords)
-    return [MultiPoly(dim, p) for p in coords]
+        scale, entries = u.integer_generators[j]
+        coords = _exp_series(entries, scale, j, coords)
+        denom *= factorial(top) * scale**top
+    return [MultiPoly(dim, {e: Fraction(v, denom) for e, v in p.items() if v}) for p in coords]
 
 
 # -- vanishing systems ---------------------------------------------------
@@ -452,26 +469,26 @@ def hat_stable_minplus(
 # -- stabiliser dimensions ------------------------------------------------
 
 
-def _span_condition_rows(
-    generators: Sequence[RatMatrix], coords: Sequence[Fraction]
-) -> list[list[Fraction]]:
-    """Rows of the linear system on c: (sum c_j N_j) x lies in span(x)."""
-    n = len(coords)
-    images = [g.mul_vec(coords) for g in generators]
-    rows = []
-    for i, k in combinations(range(n), 2):
-        rows.append([im[i] * coords[k] - im[k] * coords[i] for im in images])
-    return rows
-
-
 def stab_dim_u(u: UnipotentData, x: ProjectivePoint) -> StabDimReport:
-    """Dimension of the Lie-algebra stabiliser of the point."""
+    """Dimension of the Lie-algebra stabiliser of the point: the c with
+    (sum c_j N_j) x in span(x), rows (N_j x)_i x_k - (N_j x)_k x_i, i < k."""
     if u.dim == 0:
         return StabDimReport(point=x, dim=0, kernel_basis=())
     if u.generators[0].rows != len(x.coords):
         raise DimensionMismatch("point dimension differs from the generators")
-    rows = _span_condition_rows(u.generators, x.coords)
-    kernel = rref_kernel(RatMatrix(rows))
+    p = primitive_int_vec(x.coords)
+    common = lcm(*(scale for scale, _ in u.integer_generators))
+    images = []
+    for scale, entries in u.integer_generators:
+        image = [0] * len(p)
+        for i, j, c in entries:
+            image[i] += c * p[j]
+        images.append([(common // scale) * v for v in image])
+    rows = [
+        {col: v for col, im in enumerate(images) if (v := im[i] * p[k] - im[k] * p[i])}
+        for i, k in combinations(range(len(p)), 2)
+    ]
+    kernel = int_kernel(rows, u.dim)
     return StabDimReport(point=x, dim=len(kernel), kernel_basis=tuple(kernel))
 
 

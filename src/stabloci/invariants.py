@@ -11,10 +11,9 @@ functions (the negative transpose action), extended by Leibniz.  It is
 applied term by term through the nonzero entries of N: a term c x^e
 gains  -e_i N[i][j] c x^(e - u_i + u_j)  for each N[i][j] != 0, u_i
 the i-th unit exponent.  That one step, `_leibniz`, serves every image:
-`_image_terms` sums it over a polynomial's terms, `derivation_on_degree`
-writes it into a dense matrix, and the kernel builder writes it straight
-into the rows of the kernel matrix.  Each caller takes the entry list of
-N once, not once per monomial.
+`_image_terms` sums it over a polynomial's terms, and the kernel builder
+writes it straight into the rows of the kernel matrix.  Each caller
+takes the entry list of N once, not once per monomial.
 
 Every table is the joint kernel of raising derivations on blocks of
 monomials of one torus weight, and one builder, `_block_basis`, turns
@@ -30,9 +29,10 @@ derivation.
 The kernel rows are integers.  The SL(2) raising and lowering elements
 are the integer entry lists of `actions.sl2_entries`; only document
 generators, which may be rational, are multiplied by the lcm of their
-entries' denominators, once per call.  A nonzero multiple of a
-derivation has the same kernel, so the joint kernel, and with it the
-reduced echelon basis that `linalg.int_kernel` returns, does not change.
+entries' denominators, once per document (`integer_generators`).  A
+nonzero multiple of a derivation has the same kernel, so the joint
+kernel, and with it the reduced echelon basis that `linalg.int_kernel`
+returns, does not change.
 Only the basis itself is rational.  Everything read off it afterwards
 runs on each element's primitive integer multiple c p, c a nonzero
 rational: the SL(2) lowering check, the products whose rank counts the
@@ -57,13 +57,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import add, getitem, mul
 from typing import Sequence
 
 from .actions import ProjectivePoint, UnipotentData, sl2_entries
 from .errors import DegreeBoundExceeded, DimensionMismatch, ZeroForm
-from .linalg import IntEntries, RatMatrix, Vector, int_kernel, int_rank, primitive_int_vec, row_space_basis
+from .linalg import IntEntries, Vector, int_kernel, int_rank, primitive_int_vec, row_space_basis
 from .poly import Exponent, MultiPoly, max_root_multiplicity
 
 Entries = Sequence[tuple[int, int, Fraction | int]]
@@ -101,13 +101,6 @@ def monomials_of_degree(num_vars: int, degree: int) -> list[Exponent]:
     return sorted(out)
 
 
-def _integer_entries(n_matrix: RatMatrix) -> IntEntries:
-    """The nonzero entries of n_matrix times the lcm of their denominators."""
-    entries = n_matrix.nonzero_entries()
-    scale = lcm(*(c.denominator for _, _, c in entries))
-    return [(i, j, c.numerator * (scale // c.denominator)) for i, j, c in entries]
-
-
 def _leibniz(entries: Entries, exp: Exponent) -> list[tuple[Exponent, Fraction | int]]:
     """The terms  -e_i N[i][j] x^(exp - u_i + u_j)  of the image of x^exp,
     one per entry (i, j, N[i][j]) with e_i > 0.  Every diagonal entry gives
@@ -131,20 +124,6 @@ def _image_terms(entries: Entries, terms: dict[Exponent, Fraction | int]) -> dic
         for key, x in _leibniz(entries, exp):
             out[key] = out.get(key, 0) + x * c
     return out
-
-
-def derivation_on_degree(n_matrix: RatMatrix, degree: int) -> RatMatrix:
-    """Exact matrix of the induced derivation on the degree-d monomials."""
-    if degree < 0:
-        raise DegreeBoundExceeded("degree must be nonnegative")
-    monos = monomials_of_degree(n_matrix.rows, degree)
-    index = {m: r for r, m in enumerate(monos)}
-    entries = n_matrix.nonzero_entries()
-    rows = [[Fraction(0)] * len(monos) for _ in monos]
-    for c, mono in enumerate(monos):
-        for exp, x in _leibniz(entries, mono):
-            rows[index[exp]][c] += x
-    return RatMatrix(rows)
 
 
 def _kernel_on_monomials(operators: Sequence[IntEntries], monos: Sequence[Exponent]) -> list[Vector]:
@@ -222,7 +201,7 @@ def unipotent_invariants(
     blocks: dict[int, list[Exponent]] = {}
     for mono in monomials_of_degree(num_vars, degree):
         blocks.setdefault(-sum(map(mul, mono, gm_weights)) if graded else 0, []).append(mono)
-    basis, weights = _block_basis(blocks, [_integer_entries(g) for g in u.generators], num_vars)
+    basis, weights = _block_basis(blocks, [entries for _, entries in u.integer_generators], num_vars)
     return GradedInvariantSpace(
         degree=degree,
         basis=basis,

@@ -3,30 +3,29 @@
 Vectors are tuples of Fraction; matrices are immutable row-major tuples
 of such tuples wrapped in RatMatrix.  Sparse operators are built and read
 through one view, the list of nonzero (i, j, value) entries:
-`RatMatrix.from_entries` and `RatMatrix.nonzero_entries`.  There is no
-floating point anywhere in this package.
+`RatMatrix.from_entries`, `RatMatrix.nonzero_entries` and its integer
+multiple `integer_entries`.  There is no floating point in this package.
 
 Every elimination goes through one sparse, fraction-free core: rows
 are dicts of nonzero column -> int, `_echelon` brings them to an integer
 echelon form (Bareiss 1968; Markowitz 1957), and `_reduce` turns that
-into the reduced echelon form.  The dense readers take each rational
-row's primitive integer multiple first.  `rref` serves the hull's affine
+into the reduced echelon form, which is unique, so no reader depends on
+how a row was scaled.  The dense readers take each rational row's
+primitive integer multiple first.  `rref` serves the hull's affine
 spans, and through `solve` and `row_space_basis` the graded vanishing
 systems and the slice restriction of the invariant tables;
-`rref_kernel` hands its integer rows to `int_kernel` for the graded
-stabiliser, minimal-locus and blow-up centre kernels; `matrix_rank`
-serves only the tests.  The sparse readers serve the invariant-ring
-matrices, which reach hundreds of rows and columns with a few nonzeros
-per row, and take integer rows as they are: `int_kernel` the derivation
-rows of `invariants._kernel_on_monomials`, `int_rank` the product rows
-of `invariants.generator_degree_report`, which multiply each invariant's
-primitive integer multiple (a row scaled by a nonzero constant spans the
-same line, so the rank is unchanged).  When the echelon form has a pivot
-in every column the kernel is zero, and `int_kernel` returns it without
-the back-substitution; most graded blocks of an invariant ring end
-there.  The hull classifier and the closest-point table work on integer
-vectors (`primitive_int_vec`, `int_dot`) and take small integer
-determinants by Bareiss elimination (`int_det`).
+`rref_kernel` the graded minimal-locus and blow-up centre kernels.  The
+sparse readers take integer rows as they are: `int_kernel` the graded
+stabiliser rows and the derivation rows of
+`invariants._kernel_on_monomials`, which reach hundreds of rows and
+columns with a few nonzeros per row, and `int_rank` the product rows of
+`invariants.generator_degree_report`, built from each invariant's
+primitive integer multiple.  When the echelon form has a pivot in every
+column the kernel is zero, and `int_kernel` returns it without the
+back-substitution; most graded blocks of an invariant ring end there.
+The hull classifier and the closest-point table work on integer vectors
+(`primitive_int_vec`, `int_dot`) and take small integer determinants by
+Bareiss elimination (`int_det`).
 """
 
 from __future__ import annotations
@@ -147,11 +146,6 @@ class RatMatrix:
             rows.append(out)
         return RatMatrix(rows)
 
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        if self.cols != len(v):
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(dot(r, v) for r in self.entries)
-
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.entries)
 
@@ -172,6 +166,14 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(str, r)) for r in self.entries]})"
+
+
+def integer_entries(m: RatMatrix) -> tuple[int, IntEntries]:
+    """The lcm of the denominators of m's nonzero entries, and those
+    entries times it."""
+    entries = m.nonzero_entries()
+    scale = lcm(*(c.denominator for _, _, c in entries))
+    return scale, [(i, j, c.numerator * (scale // c.denominator)) for i, j, c in entries]
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -198,10 +200,6 @@ def solve(m: RatMatrix, rhs: Sequence[Fraction]) -> Vector | None:
     for r, c in enumerate(pivots):
         x[c] = reduced[r][m.cols]
     return tuple(x)
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
 
 
 def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:

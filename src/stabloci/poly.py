@@ -30,7 +30,7 @@ class MultiPoly:
         cleaned: dict[Exponent, Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c != 0:
                     if len(exp) != num_vars:
                         raise ValueError("exponent length does not match num_vars")

@@ -24,8 +24,9 @@ blocks placed along a diagonal.
 The polynomial references build what the library avoids building: the
 matrix exp(sN) with polynomial entries for unipotent translates, the
 derivation as images of the coordinate functions times partial
-derivatives, the kernel rows of a span of monomials read off those
-images, and root multiplicities by repeated synthetic division.
+derivatives, its dense matrix on the monomials of one degree, the
+kernel rows of a span of monomials read off those images, and root
+multiplicities by repeated synthetic division.
 
 The invariant-table references are the paths the library ran before it
 went integer and listed only what it needs: monomials of a weight
@@ -33,6 +34,12 @@ filtered out of every monomial of the degree, the SL(2) weight
 multiplicities counted over all combinations of weights, product ranks
 from Fraction `MultiPoly.mul` rows, and the nonvanishing test by Fraction
 `evaluate` at the point itself.
+
+The graded references are the Fraction paths the library ran before its
+verdicts went integer: the stabiliser's span rows from Fraction
+matrix-vector products, and the translate as the exponential series
+summed with a division by k at each step.  `matrix_rank` reads the rank
+off the library's `rref`.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from stabloci.hull import HullPosition
-from stabloci.linalg import RatMatrix, dot, is_zero_vec, norm_sq, zero_vec
+from stabloci.linalg import RatMatrix, dot, is_zero_vec, norm_sq, rref, zero_vec
 from stabloci.poly import MultiPoly, rational_roots
 
 
@@ -362,6 +369,51 @@ def reference_translate(u, x):
     return coords
 
 
+def fraction_series_translate(u, x):
+    """Coordinates of exp(s_1 N_1)...exp(s_u N_u) x: each factor sums the
+    series sum_k s^k/k! N^k over Fractions, N times the previous term
+    times s/k, through the nonzero entries of N."""
+    dim = u.dim
+    coords = [{(0,) * dim: c} if c else {} for c in x.coords]
+    for var in range(dim - 1, -1, -1):
+        n_matrix = u.generators[var]
+        total = [dict(p) for p in coords]
+        term = coords
+        for k in range(1, n_matrix.rows):
+            step = [{} for _ in term]
+            for i, j, c in n_matrix.nonzero_entries():
+                out, scale = step[i], c / k
+                for exp, v in term[j].items():
+                    key = exp[:var] + (exp[var] + 1,) + exp[var + 1 :]
+                    out[key] = out.get(key, 0) + scale * v
+            term = step
+            for acc, p in zip(total, term):
+                for e, v in p.items():
+                    acc[e] = acc.get(e, 0) + v
+        coords = total
+    return [MultiPoly(dim, p) for p in coords]
+
+
+def mat_vec(m, v):
+    """The product of a RatMatrix and a vector of Fractions."""
+    if m.cols != len(v):
+        raise ValueError("dimension mismatch in matrix-vector product")
+    return tuple(dot(r, v) for r in m.entries)
+
+
+def span_condition_rows(generators, coords):
+    """Rows of the linear system on c: (sum c_j N_j) x lies in span(x)."""
+    images = [mat_vec(g, coords) for g in generators]
+    return [
+        [im[i] * coords[k] - im[k] * coords[i] for im in images]
+        for i, k in combinations(range(len(coords)), 2)
+    ]
+
+
+def matrix_rank(rows):
+    return len(rref(rows)[1])
+
+
 def reference_partial(p, index):
     out = {}
     for exp, c in p.terms.items():
@@ -384,6 +436,14 @@ def reference_derivation(n_matrix, p):
             image = image.sub(MultiPoly.variable(num_vars, j).scale(c))
         out = out.add(image.mul(reference_partial(p, i)))
     return out
+
+
+def reference_derivation_on_degree(n_matrix, degree):
+    """Dense matrix of the derivation on the degree-d monomials: column c
+    holds the `reference_derivation` image of the c-th monomial."""
+    monos = reference_monomials(n_matrix.rows, degree)
+    images = [reference_derivation(n_matrix, MultiPoly.monomial(n_matrix.rows, m)) for m in monos]
+    return RatMatrix([[image.terms.get(e, Fraction(0)) for image in images] for e in monos])
 
 
 def reference_derivation_rows(operators, monos):

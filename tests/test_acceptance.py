@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import wraps
 from itertools import combinations
 
-from oracles import certify_closest_point, oracle_hull_position
+from oracles import certify_closest_point, matrix_rank, oracle_hull_position
 from stabloci.actions import ProjectivePoint, TorusWeights
 from stabloci.cli import EXIT_OK, run
 from stabloci.corpus import builtin_documents, render_corpus
@@ -35,7 +35,7 @@ from stabloci.invariants import (
     sl2_weight_counting_dimension,
     unipotent_invariants,
 )
-from stabloci.linalg import matrix_rank, vec, zero_vec
+from stabloci.linalg import vec, zero_vec
 from stabloci.poly import MultiPoly
 from stabloci.torus import (
     Status,

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import rational_roots_with_multiplicity, reference_translate
+from oracles import (
+    fraction_series_translate,
+    mat_vec,
+    rational_roots_with_multiplicity,
+    reference_kernel,
+    reference_translate,
+    span_condition_rows,
+)
 from stabloci.actions import (
     GradingData,
     ProjectivePoint,
@@ -182,6 +189,44 @@ def _triangular_generators(draw):
 def test_translate_matches_matrix_exponential_on_triangular_generators(case):
     u, x = case
     assert translate_coordinate_polys(u, x) == reference_translate(u, x)
+
+
+@st.composite
+def _scaled_generators(draw):
+    """1-3 strictly triangular generators of size 2-5, generator j divided
+    by its own denominator d_j (distinct from the others), and a point
+    with rational and often zero coordinates."""
+    size = draw(st.integers(2, 5))
+    denominators = draw(st.permutations([1, 2, 3, 5, 7]))[: draw(st.integers(1, 3))]
+    generators = []
+    for d in denominators:
+        upper = draw(st.booleans())
+        rows = [
+            [draw(_entry) / d if (j > i if upper else j < i) else Fraction(0) for j in range(size)]
+            for i in range(size)
+        ]
+        generators.append(RatMatrix(rows))
+    coordinate = st.one_of(st.just(Fraction(0)), _coordinate)
+    coords = draw(st.lists(coordinate, min_size=size, max_size=size).filter(any))
+    u = UnipotentData(generators=tuple(generators), grading_weights=(1,) * len(generators))
+    return u, ProjectivePoint(coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scaled_generators())
+def test_translate_matches_fraction_series(case):
+    """The integer series, divided once, is the Fraction series."""
+    u, x = case
+    assert translate_coordinate_polys(u, x) == fraction_series_translate(u, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled_generators())
+def test_stab_dim_kernel_matches_fraction_span_rows(case):
+    """The integer span rows have the kernel basis of the Fraction rows."""
+    u, x = case
+    rows = span_condition_rows(u.generators, x.coords)
+    assert stab_dim_u(u, x).kernel_basis == tuple(reference_kernel(rows, u.dim))
 
 
 _root = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -361,7 +406,7 @@ def test_stab_dim_kernel_satisfies_span_condition():
         image = [Fraction(0)] * len(x)
         for coeff, gen in zip(c, u.generators):
             if coeff:
-                image = [a + coeff * b for a, b in zip(image, gen.mul_vec(x))]
+                image = [a + coeff * b for a, b in zip(image, mat_vec(gen, x))]
         # image lies in the line through x: all 2x2 minors vanish
         for i in range(len(x)):
             for k in range(i + 1, len(x)):
@@ -397,7 +442,7 @@ def test_condition_cstar_examples():
     assert report_bad.verdict == ConditionVerdict.FAILS and report_bad.exact
     assert report_bad.witness is not None
     killed = report_bad.witness
-    assert bad.unipotent.generators[0].mul_vec(killed.coords) == (Fraction(0),) * 3
+    assert mat_vec(bad.unipotent.generators[0], killed.coords) == (Fraction(0),) * 3
 
 
 def test_condition_cstar_exact_for_builtin_multigenerator_actions():
