@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    reference_derivation_on_degree,
     matrix_rank,
     reference_bidegree_weight_zero,
     reference_block_diagonal,
     reference_derivation,
+    reference_derivation_on_degree,
     reference_derivation_rows,
     reference_kernel,
     reference_monomials,
