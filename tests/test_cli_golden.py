@@ -156,6 +156,14 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
     rational = "tests/golden/cli/rational_jordan.json"
     argvs.append(("graded__rational_jordan", ["graded", "--action", rational, "--chi=-3"]))
     argvs.append(("hatstable__rational_jordan", ["hatstable", "--action", rational, "--chi=-3", "--q=1/2"]))
+    # The torus_line weights under a trivial grading (every circle weight 1):
+    # the chamber is one point, outside 0 at chi 0 and at 0 for chi 1, and
+    # the graded and hat tests fall back to the torus verdicts.
+    flat = "tests/golden/cli/flat_line.json"
+    argvs.append(("chamber__flat_line", ["chamber", "--action", flat]))
+    argvs.append(("chamber_chi_1__flat_line", ["chamber", "--action", flat, "--chi=1"]))
+    argvs.append(("graded_chi_1__flat_line", ["graded", "--action", flat, "--chi=1"]))
+    argvs.append(("hatstable__flat_line", ["hatstable", "--action", flat, "--q=1/2"]))
     # Points with mixed denominators and signs, so the nonvanishing test
     # evaluates at rational coordinates.  Up to degree 8 the jet-group
     # invariants are the powers of x0, so every witness there has degree 1
