@@ -20,7 +20,6 @@ from .graded import (
     BlowupCentre,
     ConditionReport,
     ConditionVerdict,
-    OmegaSequence,
     StabDimReport,
     SweepCertificate,
     adapted_window,
@@ -31,7 +30,6 @@ from .graded import (
     in_X0_min,
     in_Z_min,
     m_lower_bound,
-    omega_sequence,
     q_hat_stable,
     stab_dim_u,
     u_sweep_membership,
@@ -49,13 +47,10 @@ from .invariants import (
 from .linalg import RatMatrix, rref_kernel
 from .poly import MultiPoly, poly_gcd_univariate
 from .torus import (
-    Chamber,
     StabilityVerdict,
     Status,
     StratumIndex,
-    chamber_contains_zero_interior,
     limit_point,
-    lowest_bounded_chamber,
     stratification_indices,
     stratum_of,
     stratum_quotient_data,

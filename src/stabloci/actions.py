@@ -55,7 +55,13 @@ class TorusWeights:
 class GradingData:
     """Grading circle weights per coordinate plus a character twist.
 
-    `gm_weights` is kept in coordinate order; `twisted_weights` is built once.
+    `gm_weights` is kept in coordinate order.  The twisted weights and
+    their ladder omega, the distinct twisted weights in increasing order,
+    are built once.  The lowest bounded chamber is [omega_0, omega_1], a
+    single point when the grading is trivial; the twist is adapted when 0
+    is interior to it, a single point counting as its own interior.  The
+    minimal fixed locus Z_min is spanned by the coordinates of weight
+    omega_0.
     """
 
     gm_weights: tuple[int, ...]
@@ -65,13 +71,30 @@ class GradingData:
         object.__setattr__(self, "gm_weights", tuple(int(w) for w in self.gm_weights))
         chi = Fraction(self.character_twist)
         object.__setattr__(self, "character_twist", chi)
-        object.__setattr__(self, "_twisted", tuple(w - chi for w in self.gm_weights))
+        twisted = tuple(w - chi for w in self.gm_weights)
+        object.__setattr__(self, "_twisted", twisted)
+        object.__setattr__(self, "_omega", tuple(sorted(set(twisted))))
 
     def twisted_weights(self) -> tuple[Fraction, ...]:
         return self._twisted
 
+    def omega(self) -> tuple[Fraction, ...]:
+        return self._omega
+
     def is_trivial(self) -> bool:
-        return len(set(self.gm_weights)) <= 1
+        return len(self._omega) <= 1
+
+    def chamber(self) -> tuple[Fraction, Fraction]:
+        om = self._omega
+        return om[0], om[1] if len(om) > 1 else om[0]
+
+    def is_adapted(self) -> bool:
+        lo, hi = self.chamber()
+        return lo == hi == 0 or lo < 0 < hi
+
+    def min_weight_indices(self) -> tuple[int, ...]:
+        lowest = self._omega[0]
+        return tuple(i for i, w in enumerate(self._twisted) if w == lowest)
 
 
 @dataclass(frozen=True)

@@ -210,19 +210,18 @@ def cmd_chamber(args) -> dict:
     g = doc.action.grading
     if g is None:
         raise PreconditionError("chamber report needs grading data")
-    chamber = torus.lowest_bounded_chamber(g)
-    om = graded.omega_sequence(g)
+    lo, hi = g.chamber()
     payload = {
         "command": "chamber",
         "label": doc.action.label,
         "chi": _fr(g.character_twist),
-        "chamber": {"lo": _fr(chamber.lo), "hi": _fr(chamber.hi)},
-        "contains_zero_interior": torus.chamber_contains_zero_interior(chamber),
-        "omega": _frs(om.values),
+        "chamber": {"lo": _fr(lo), "hi": _fr(hi)},
+        "contains_zero_interior": g.is_adapted(),
+        "omega": _frs(g.omega()),
         "window": None,
     }
-    if len(om.values) >= 2:
-        window = graded.adapted_window(om)
+    if not g.is_trivial():
+        window = graded.adapted_window(g)
         payload["window"] = {
             "lo": _fr(window.lo),
             "hi": _fr(window.hi),
@@ -357,6 +356,8 @@ def cmd_invariants(args) -> dict:
         }
     if not args.action:
         raise ParseError("invariants needs --action or --sl2")
+    if args.chi is not None:
+        raise ParseError("invariant tables do not depend on the twist; drop --chi")
     doc = _load_document(args)
     action = doc.action
     if action.unipotent is None:

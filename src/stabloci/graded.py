@@ -63,23 +63,10 @@ from .poly import (
     univariate_coeffs,
     univariate_derivative,
 )
-from .torus import (
-    StabilityVerdict,
-    Status,
-    chamber_contains_zero_interior,
-    lowest_bounded_chamber,
-    torus_verdict,
-)
+from .torus import StabilityVerdict, Status, torus_verdict
 
-
-@dataclass(frozen=True)
-class OmegaSequence:
-    """Strictly increasing distinct twisted grading weights."""
-
-    values: tuple[Fraction, ...]
-
-    def minimum(self) -> Fraction:
-        return self.values[0]
+# seeded points a sampled minimal-locus check draws besides the coordinate points
+LOCUS_SAMPLES = 12
 
 
 @dataclass(frozen=True)
@@ -142,34 +129,23 @@ class BlowupCentre:
     max_stab_dim_x0min: int
     equations: tuple[MultiPoly, ...]
     meets_x0min: bool
-    fixed_kernel_basis: tuple[Vector, ...]
 
 
 # -- weight ladders -----------------------------------------------------
 
 
-def omega_sequence(g: GradingData) -> OmegaSequence:
-    return OmegaSequence(values=tuple(sorted(set(g.twisted_weights()))))
-
-
-def adapted_window(om: OmegaSequence) -> AdaptedWindow:
-    if len(om.values) < 2:
+def adapted_window(g: GradingData) -> AdaptedWindow:
+    if g.is_trivial():
         raise TrivialAction("a single grading weight has no adapted window")
-    lo, hi = om.values[0], om.values[1]
+    lo, hi = g.chamber()
     return AdaptedWindow(lo=lo, hi=hi, well_adapted_hi=lo + (hi - lo) / 2)
-
-
-def min_weight_indices(g: GradingData) -> tuple[int, ...]:
-    tw = g.twisted_weights()
-    lowest = min(tw)
-    return tuple(i for i, w in enumerate(tw) if w == lowest)
 
 
 def in_Z_min(g: GradingData, x: ProjectivePoint) -> bool:
     """Supported only on coordinates of minimal twisted weight."""
     if len(x.coords) != len(g.gm_weights):
         raise DimensionMismatch("point dimension differs from grading")
-    lowest = set(min_weight_indices(g))
+    lowest = set(g.min_weight_indices())
     return all(i in lowest for i in x.support())
 
 
@@ -178,11 +154,7 @@ def in_X0_min(g: GradingData, x: ProjectivePoint) -> bool:
     if len(x.coords) != len(g.gm_weights):
         raise DimensionMismatch("point dimension differs from grading")
     tw = g.twisted_weights()
-    return min(tw[i] for i in x.support()) == min(tw)
-
-
-def is_adapted(g: GradingData) -> bool:
-    return chamber_contains_zero_interior(lowest_bounded_chamber(g))
+    return min(tw[i] for i in x.support()) == g.omega()[0]
 
 
 # -- unipotent translates ------------------------------------------------
@@ -401,7 +373,7 @@ def u_sweep_membership(
         raise UnsupportedUnipotentDimension(
             f"exact sweep requires one generator, got {u.dim}"
         )
-    lowest = set(min_weight_indices(g))
+    lowest = set(g.min_weight_indices())
     above = [i for i in range(len(g.gm_weights)) if i not in lowest]
     return _sweep_certificate(u, x, above, seed)
 
@@ -413,7 +385,7 @@ def _require_grading(action: WeightedAction) -> GradingData:
 
 
 def _require_adapted(g: GradingData) -> None:
-    if not is_adapted(g):
+    if not g.is_adapted():
         raise NotAdapted("character twist is not adapted: 0 is not interior to the lowest bounded chamber")
 
 
@@ -446,7 +418,7 @@ def hat_stable_minplus(
             support=support,
             detail="does not flow to the minimal fixed locus",
         )
-    lowest = set(min_weight_indices(g))
+    lowest = set(g.min_weight_indices())
     above = [i for i in range(len(g.gm_weights)) if i not in lowest]
     cert = _sweep_certificate(action.unipotent, x, above, seed)
     if cert.in_sweep:
@@ -598,7 +570,6 @@ def _minimal_locus_report(
     target_dim: int,
     details: dict[str, tuple[str, str]],
     seed: int,
-    samples: int,
 ) -> ConditionReport:
     """Does every point of the minimal locus have stabiliser dimension `target_dim`?
 
@@ -648,7 +619,7 @@ def _minimal_locus_report(
             witness = _point_on_block(block, witness_coords, n)
     else:
         holds = True
-        for z in _sample_block_points(block, n, seed, samples):
+        for z in _sample_block_points(block, n, seed, LOCUS_SAMPLES):
             dim_z = stab_dim_u(u, z).dim
             if dim_z != target_dim:
                 holds, witness, fields["dim"] = False, z, dim_z
@@ -664,13 +635,11 @@ def _minimal_locus_report(
         witness=witness,
         detail=details[branch][0 if holds else 1].format(**fields),
         seed=seed if sampled else None,
-        samples=samples if sampled else 0,
+        samples=LOCUS_SAMPLES if sampled else 0,
     )
 
 
-def check_condition_cstar(
-    action: WeightedAction, seed: int = 0, samples: int = 12
-) -> ConditionReport:
+def check_condition_cstar(action: WeightedAction, seed: int = 0) -> ConditionReport:
     """Trivial unipotent stabilisers on the minimal fixed locus.
 
     On that locus the generators raise the twisted weight, so a Lie
@@ -693,7 +662,7 @@ def check_condition_cstar(
             "sampled minimal-locus point with nontrivial stabiliser",
         ),
     }
-    return _minimal_locus_report(u, min_weight_indices(g), action.n, 0, details, seed, samples)
+    return _minimal_locus_report(u, g.min_weight_indices(), action.n, 0, details, seed)
 
 
 def _poly_minors(rows: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
@@ -722,9 +691,7 @@ def _poly_det(m: list[list[MultiPoly]]) -> MultiPoly:
     return det
 
 
-def check_condition_cstar_tilde(
-    action: WeightedAction, seed: int = 0, samples: int = 12
-) -> ConditionReport:
+def check_condition_cstar_tilde(action: WeightedAction, seed: int = 0) -> ConditionReport:
     """Minimal-locus stabiliser dimensions all equal the generic minimum.
 
     The generic minimum is exact (function-field rank of the span
@@ -750,7 +717,7 @@ def check_condition_cstar_tilde(
         "minors": (f"{p}; rank constant on the minimal locus", f"{p} but the rank drops on the minimal locus: {{detail}}"),
         "sampled": (f"{p}; matched at all sampled minimal-locus points", f"{p} but a sampled point has dimension {{dim}}"),
     }
-    return _minimal_locus_report(u, min_weight_indices(g), action.n, d_min, details, seed, samples)
+    return _minimal_locus_report(u, g.min_weight_indices(), action.n, d_min, details, seed)
 
 
 # -- blow-up centre -------------------------------------------------------
@@ -767,7 +734,7 @@ def blowup_centre(action: WeightedAction) -> BlowupCentre:
     g = _require_grading(action)
     u = action.unipotent
     if u is None or u.dim == 0:
-        return BlowupCentre(max_stab_dim_x0min=0, equations=(), meets_x0min=False, fixed_kernel_basis=())
+        return BlowupCentre(max_stab_dim_x0min=0, equations=(), meets_x0min=False)
     if u.dim != 1:
         raise UnsupportedUnipotentDimension(
             f"exact centre identification requires one generator, got {u.dim}"
@@ -775,13 +742,12 @@ def blowup_centre(action: WeightedAction) -> BlowupCentre:
     gen = u.generators[0]
     equations = [minor for minor in _span_minors(gen) if not minor.is_zero()]
     kernel = rref_kernel(gen)
-    lowest = set(min_weight_indices(g))
+    lowest = set(g.min_weight_indices())
     meets = any(any(v[i] != 0 for i in lowest) for v in kernel)
     return BlowupCentre(
         max_stab_dim_x0min=1 if meets or not equations else 0,
         equations=tuple(equations),
         meets_x0min=meets,
-        fixed_kernel_basis=tuple(kernel),
     )
 
 
@@ -803,19 +769,12 @@ def m_lower_bound(action: WeightedAction, q: Fraction) -> int:
     if g is None:
         scale = 0
     else:
-        tw = g.twisted_weights()
-        scale = ceil(max(max(tw) - min(tw), max(abs(w) for w in tw)))
+        lo, hi = g.omega()[0], g.omega()[-1]
+        scale = ceil(max(hi - lo, -lo, hi))
     return 2 * (scale + 1) * q.denominator
 
 
-def q_hat_stable(
-    action: WeightedAction,
-    q: Fraction,
-    m: int,
-    x: ProjectivePoint,
-    seed: int = 0,
-    torus_twist: Sequence[Fraction] | None = None,
-) -> StabilityVerdict:
+def q_hat_stable(action: WeightedAction, q: Fraction, m: int, x: ProjectivePoint, seed: int = 0) -> StabilityVerdict:
     """Stability of (x, [1:1]) on the product with the twisted line.
 
     The auxiliary line contributes weights 0..m shifted by -q*m; at the
@@ -825,6 +784,11 @@ def q_hat_stable(
     interval contains 0 strictly iff 0 < q < 1).  With a nontrivial
     grading the circle test at every unipotent translate reduces to two
     sweep queries against the weight thresholds q*m and q*m - m.
+
+    Known fault: with a nontrivial grading and 0 < q < 1, every nonzero
+    point is reported stable.  For m >= `m_lower_bound`, q*m exceeds and
+    q*m - m undercuts every twisted weight, so both sweeps target every
+    coordinate and no translate of a nonzero point clears them.
     """
     q = Fraction(q)
     g = action.grading
@@ -834,7 +798,7 @@ def q_hat_stable(
         raise MTooSmall(f"m={m} is below the lower bound {m0}")
     if trivial:
         _require_trivial_unipotent(action)
-        base = Fraction(g.twisted_weights()[0]) if g is not None else Fraction(0)
+        base = g.omega()[0] if g is not None else Fraction(0)
         lo = base - q * m
         hi = base + m - q * m
         if lo < 0 < hi:
@@ -843,8 +807,7 @@ def q_hat_stable(
             line_status = Status.STRICTLY_SEMISTABLE
         else:
             line_status = Status.UNSTABLE
-        twist = torus_twist if torus_twist is not None else zero_vec(action.torus.rank)
-        tv = torus_verdict(action.torus, twist, x)
+        tv = torus_verdict(action.torus, zero_vec(action.torus.rank), x)
         order = {Status.UNSTABLE: 0, Status.STRICTLY_SEMISTABLE: 1, Status.STABLE: 2}
         status = tv.status if order[tv.status] <= order[line_status] else line_status
         return StabilityVerdict(

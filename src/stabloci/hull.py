@@ -11,7 +11,7 @@ position, so each point is replaced by its primitive integer vector,
 which also merges p with 2p.  Coordinates of the points' row space
 (rank r) keep membership and relative interiority: at full rank the
 vectors themselves, at lower rank their products with any integer
-basis of the row space (the reduced echelon rows made primitive), as
+basis of the row space (the rows of its integer echelon form), as
 p -> Bp is injective on the row space.  There C is pointed: the cone
 over its extreme rays, each orthogonal to an (r-1)-subset that pairs
 with one sign on every point.  The ray of a subset is its generalised
@@ -58,7 +58,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import Vector, int_det, int_dot, primitive_int_vec, rref
+from .linalg import Vector, int_det, int_dot, int_echelon, primitive_int_vec
 
 
 class HullPosition(Enum):
@@ -86,13 +86,12 @@ def hull_origin_position(points: Sequence[Vector]) -> HullPosition:
     prim = dict.fromkeys(map(primitive_int_vec, points))
     q = [p for p in prim if any(p)]
     has_zero = len(q) < len(prim)
-    basis = rref(q)[0]
+    basis = list(int_echelon({j: x for j, x in enumerate(p) if x} for p in q).values())
     r = len(basis)
     if r == 0:
         return HullPosition.BOUNDARY
     if r < dim:
-        basis = [primitive_int_vec(b) for b in basis]
-        q = [tuple(int_dot(b, p) for b in basis) for p in q]
+        q = [tuple(sum(x * p[j] for j, x in b.items()) for b in basis) for p in q]
     ray_sum = [0] * r
     for subset in combinations(q, r - 1):
         c = _cross(subset, r)

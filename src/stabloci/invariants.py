@@ -63,7 +63,7 @@ from typing import Sequence
 
 from .actions import ProjectivePoint, UnipotentData, sl2_entries
 from .errors import DegreeBoundExceeded, DimensionMismatch, ZeroForm
-from .linalg import IntEntries, Vector, int_kernel, int_rank, primitive_int_vec, row_space_basis
+from .linalg import IntEntries, Vector, int_echelon, int_kernel, primitive_int_vec, row_space_basis
 from .poly import Exponent, MultiPoly, max_root_multiplicity
 
 Entries = Sequence[tuple[int, int, Fraction | int]]
@@ -433,7 +433,7 @@ def generator_degree_report(
             for p in by_degree[d1].integer_basis:
                 for q in by_degree[d2].integer_basis:
                     product_rows.append(_product_row(p, q, index))
-        product_dim = int_rank(product_rows)
+        product_dim = len(int_echelon(product_rows))
         report.append(
             GeneratorDegreeRow(
                 degree=d,

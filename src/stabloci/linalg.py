@@ -7,20 +7,21 @@ through one view, the list of nonzero (i, j, value) entries:
 multiple `integer_entries`.  There is no floating point in this package.
 
 Every elimination goes through one sparse, fraction-free core: rows
-are dicts of nonzero column -> int, `_echelon` brings them to an integer
+are dicts of nonzero column -> int, `int_echelon` brings them to an integer
 echelon form (Bareiss 1968; Markowitz 1957), and `_reduce` turns that
 into the reduced echelon form, which is unique, so no reader depends on
 how a row was scaled.  The dense readers take each rational row's
-primitive integer multiple first.  `rref` serves the hull's affine
-spans, and through `solve` and `row_space_basis` the graded vanishing
-systems and the slice restriction of the invariant tables;
-`rref_kernel` the graded minimal-locus and blow-up centre kernels.  The
-sparse readers take integer rows as they are: `int_kernel` the graded
-stabiliser rows and the derivation rows of
-`invariants._kernel_on_monomials`, which reach hundreds of rows and
-columns with a few nonzeros per row, and `int_rank` the product rows of
-`invariants.generator_degree_report`, built from each invariant's
-primitive integer multiple.  When the echelon form has a pivot in every
+primitive integer multiple first.  `rref` serves, through `solve` and
+`row_space_basis`, the graded vanishing systems and the slice
+restriction of the invariant tables; `rref_kernel` the graded
+minimal-locus and blow-up centre kernels.  The sparse readers take
+integer rows as they are: `int_kernel` the graded stabiliser rows and
+the derivation rows of `invariants._kernel_on_monomials`, which reach
+hundreds of rows and columns with a few nonzeros per row, and
+`int_echelon` itself the hull classifier's row space and the product
+rows of `invariants.generator_degree_report`, built from each
+invariant's primitive integer multiple, whose rank is the number of
+pivots.  When the echelon form has a pivot in every
 column the kernel is zero, and `int_kernel` returns it without the
 back-substitution; most graded blocks of an invariant ring end there.
 The hull classifier and the closest-point table work on integer vectors
@@ -39,7 +40,7 @@ IntEntries = list[tuple[int, int, int]]
 
 
 def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def zero_vec(n: int) -> Vector:
@@ -179,7 +180,7 @@ def integer_entries(m: RatMatrix) -> tuple[int, IntEntries]:
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
     ncols = len(rows[0]) if rows else 0
-    reduced = _reduce(_echelon({j: x for j, x in enumerate(primitive_int_vec(r)) if x} for r in rows))
+    reduced = _reduce(int_echelon({j: x for j, x in enumerate(primitive_int_vec(r)) if x} for r in rows))
     pivots = sorted(reduced)
     return [[reduced[c].get(j, Fraction(0)) for j in range(ncols)] for c in pivots], pivots
 
@@ -227,7 +228,7 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, 
     return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
-def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def int_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Sparse integer echelon form, keyed by each pivot's leading column.
 
     Rows are dicts of nonzero column -> int.  Each incoming row is reduced
@@ -252,7 +253,7 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
 
 
 def _reduce(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
-    """The reduced echelon form of an `_echelon` result, keyed the same.
+    """The reduced echelon form of an `int_echelon` result, keyed the same.
 
     Back-substitution from the last leading column to the first: each
     pivot is cleared, fraction-free, in the leading columns of the pivots
@@ -271,15 +272,10 @@ def _reduce(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]
     }
 
 
-def int_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank of sparse integer rows (dicts of column -> nonzero int)."""
-    return len(_echelon(rows))
-
-
 def int_kernel(rows: list[dict[int, int]], ncols: int) -> list[Vector]:
     """Kernel basis of sparse integer rows (dicts of column -> nonzero int),
     one vector per free column, from the reduced echelon form."""
-    pivots = _echelon(rows)
+    pivots = int_echelon(rows)
     if len(pivots) == ncols:
         return []
     return _kernel_basis(_reduce(pivots), ncols)

@@ -1,4 +1,4 @@
-"""Torus stability, bounded chambers, limits, unstable stratification.
+"""Torus stability, limits, unstable stratification.
 
 A point is (semi)stable for a diagonal torus action exactly when the
 convex hull of its supported, character-twisted weights contains the
@@ -35,7 +35,7 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .actions import GradingData, ProjectivePoint, TorusWeights
+from .actions import ProjectivePoint, TorusWeights
 from .errors import DimensionMismatch, EnumerationBoundExceeded, UnknownIndex
 from .hull import (
     HullPosition,
@@ -67,16 +67,6 @@ class StabilityVerdict:
     detail: str = ""
     heuristic: bool = False
     seed: int | None = None
-
-
-@dataclass(frozen=True)
-class Chamber:
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError("chamber endpoints out of order")
 
 
 @dataclass(frozen=True)
@@ -145,24 +135,6 @@ def torus_verdict(
         hull_position=position,
         detail="origin vs hull of supported twisted weights",
     )
-
-
-def lowest_bounded_chamber(g: GradingData) -> Chamber:
-    """[lowest weight, next distinct weight] of the twisted grading.
-
-    When the grading acts trivially the chamber degenerates to a single
-    point, which counts as its own interior.
-    """
-    values = sorted(set(g.twisted_weights()))
-    if len(values) == 1:
-        return Chamber(lo=values[0], hi=values[0])
-    return Chamber(lo=values[0], hi=values[1])
-
-
-def chamber_contains_zero_interior(c: Chamber) -> bool:
-    if c.lo == c.hi:
-        return c.lo == 0
-    return c.lo < 0 < c.hi
 
 
 def limit_point(

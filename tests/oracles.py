@@ -40,10 +40,16 @@ verdicts went integer: the stabiliser's span rows from Fraction
 matrix-vector products, and the translate as the exponential series
 summed with a division by k at each step.  `matrix_rank` reads the rank
 off the library's `rref`.
+
+The weight-ladder references are the chamber, sequence and adaptedness
+helpers the library kept in its torus and graded modules before
+`GradingData` owned the ladder; here they twist the circle weights
+themselves instead of reading `twisted_weights`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -543,3 +549,43 @@ def reference_nonvanishing(spaces, coords):
             if p.evaluate(coords) != 0:
                 return True, space.degree, bound
     return False, None, bound
+
+
+@dataclass(frozen=True)
+class Chamber:
+    lo: Fraction
+    hi: Fraction
+
+
+def _twisted(g):
+    return [Fraction(w) - g.character_twist for w in g.gm_weights]
+
+
+def omega_sequence(g):
+    """Strictly increasing distinct twisted grading weights."""
+    return tuple(sorted(set(_twisted(g))))
+
+
+def lowest_bounded_chamber(g):
+    """[lowest weight, next distinct weight]; a single point for a trivial
+    grading, which counts as its own interior."""
+    values = omega_sequence(g)
+    if len(values) == 1:
+        return Chamber(lo=values[0], hi=values[0])
+    return Chamber(lo=values[0], hi=values[1])
+
+
+def chamber_contains_zero_interior(c):
+    if c.lo == c.hi:
+        return c.lo == 0
+    return c.lo < 0 < c.hi
+
+
+def is_adapted(g):
+    return chamber_contains_zero_interior(lowest_bounded_chamber(g))
+
+
+def min_weight_indices(g):
+    tw = _twisted(g)
+    lowest = min(tw)
+    return tuple(i for i, w in enumerate(tw) if w == lowest)

@@ -22,7 +22,6 @@ from stabloci.graded import (
     check_condition_cstar,
     hat_stable_minplus,
     m_lower_bound,
-    omega_sequence,
     q_hat_stable,
 )
 from stabloci.invariants import (
@@ -193,7 +192,7 @@ def test_criterion_5_adapted_twist_invariance():
         g = doc.action.grading
         if g is None or g.is_trivial():
             continue
-        window = adapted_window(omega_sequence(GradingData(gm_weights=g.gm_weights)))
+        window = adapted_window(GradingData(gm_weights=g.gm_weights))
         chi_a = window.lo + (window.hi - window.lo) / 4
         chi_b = window.lo + (window.hi - window.lo) * 3 / 4
         tables = []

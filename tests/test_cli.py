@@ -321,3 +321,14 @@ def test_sl2_tables_refuse_document_options(extra):
     assert code == EXIT_PARSE
     assert out.startswith("parse error: ") and "--sl2" in out
     assert run(["invariants", "--sl2", "3"])[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("chi", ["--chi=1", "--chi=-1/2", "--chi=0"])
+def test_invariant_tables_refuse_a_twist(chi):
+    """The invariant ring does not depend on the twist, so --chi is an error
+    rather than an option that changes nothing."""
+    argv = ["invariants", "--action", corpus_path("jordan_3.json"), "--max-degree", "4"]
+    code, out = run([*argv, chi])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ") and "--chi" in out
+    assert run(argv)[0] == EXIT_OK

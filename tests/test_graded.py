@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     fraction_series_translate,
+    is_adapted,
+    lowest_bounded_chamber,
     mat_vec,
+    min_weight_indices,
+    omega_sequence,
     rational_roots_with_multiplicity,
     reference_kernel,
     reference_translate,
@@ -45,7 +49,6 @@ from stabloci.graded import (
     in_X0_min,
     in_Z_min,
     m_lower_bound,
-    omega_sequence,
     q_hat_stable,
     stab_dim_u,
     translate_coordinate_polys,
@@ -72,10 +75,10 @@ CUBICS_BORDERLINE = with_chi(CUBICS, -3)
 
 def test_omega_sequence_examples():
     g = GradingData(gm_weights=(0, 0, 1, 2))
-    assert omega_sequence(g).values == (Fraction(0), Fraction(1), Fraction(2))
+    assert g.omega() == (Fraction(0), Fraction(1), Fraction(2))
     g2 = GradingData(gm_weights=(0, 0, 1, 2), character_twist=Fraction(1, 2))
-    assert omega_sequence(g2).values == (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
-    assert omega_sequence(CUBICS.grading).values == (
+    assert g2.omega() == (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
+    assert CUBICS.grading.omega() == (
         Fraction(-3),
         Fraction(-1),
         Fraction(1),
@@ -84,15 +87,38 @@ def test_omega_sequence_examples():
 
 
 def test_adapted_window_examples():
-    om = omega_sequence(CUBICS.grading)
-    window = adapted_window(om)
+    window = adapted_window(CUBICS.grading)
     assert (window.lo, window.hi) == (Fraction(-3), Fraction(-1))
     assert window.lo < window.well_adapted_hi < window.hi
     # chi = -3 is borderline (not inside), chi = -2 is adapted
     assert not window.lo < Fraction(-3)
     assert window.lo < Fraction(-2) < window.hi
     with pytest.raises(TrivialAction):
-        adapted_window(omega_sequence(GradingData(gm_weights=(5, 5))))
+        adapted_window(GradingData(gm_weights=(5, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=6),
+    st.one_of(st.integers(-5, 5).map(Fraction), st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+)
+def test_ladder_matches_reference(gm_weights, chi):
+    """The ladder GradingData builds once equals the chamber, sequence and
+    adaptedness helpers it replaced; integer twists often put 0 on a weight."""
+    g = GradingData(gm_weights=tuple(gm_weights), character_twist=chi)
+    chamber = lowest_bounded_chamber(g)
+    assert g.omega() == omega_sequence(g)
+    assert g.chamber() == (chamber.lo, chamber.hi)
+    assert g.is_adapted() == is_adapted(g)
+    assert g.min_weight_indices() == min_weight_indices(g)
+    assert g.is_trivial() == (chamber.lo == chamber.hi)
+    if g.is_trivial():
+        with pytest.raises(TrivialAction):
+            adapted_window(g)
+    else:
+        window = adapted_window(g)
+        assert (window.lo, window.hi) == (chamber.lo, chamber.hi)
+        assert window.well_adapted_hi == (chamber.lo + chamber.hi) / 2
 
 
 def test_z_min_and_x0_min_examples():
@@ -368,7 +394,7 @@ def test_sweep_closed_under_group_flow():
 
 def test_twist_independence_inside_adapted_window():
     for action in (jordan_embed_ga([3]), jordan_embed_ga([1, 1]), aut_p112_example(), jet_group_example(3)):
-        window = adapted_window(omega_sequence(action.grading))
+        window = adapted_window(action.grading)
         chi_a = window.lo + (window.hi - window.lo) / 4
         chi_b = window.lo + (window.hi - window.lo) * 3 / 4
         rng = random.Random(8)

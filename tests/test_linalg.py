@@ -17,8 +17,8 @@ from oracles import (
 from stabloci.linalg import (
     RatMatrix,
     int_det,
+    int_echelon,
     int_kernel,
-    int_rank,
     primitive_int_vec,
     row_space_basis,
     rref,
@@ -115,7 +115,7 @@ def test_int_kernel_is_rref_kernel(matrix):
     rows, ncols = matrix
     sparse = _sparse(rows)
     assert int_kernel(sparse, ncols) == rref_kernel(RatMatrix(rows or [[0] * ncols]))
-    assert int_rank(sparse) == matrix_rank(rows)
+    assert len(int_echelon(sparse)) == matrix_rank(rows)
 
 
 @st.composite
@@ -156,7 +156,11 @@ def test_elimination_matches_dense_gauss_jordan(system):
     rows, ncols, rhs = system
     sparse = _sparse(map(primitive_int_vec, rows))
     assert rref(rows) == reference_rref(rows)
-    assert matrix_rank(rows) == int_rank(sparse) == reference_rank(rows)
+    echelon = int_echelon(sparse)
+    assert matrix_rank(rows) == len(echelon) == reference_rank(rows)
+    # integer echelon rows, each keyed by its leading column, spanning the row space
+    assert all(min(row) == lead and all(type(x) is int for x in row.values()) for lead, row in echelon.items())
+    assert reference_row_space([[row.get(j, 0) for j in range(ncols)] for row in echelon.values()]) == reference_row_space(rows)
     assert row_space_basis(rows) == reference_row_space(rows)
     kernel = reference_kernel(rows, ncols)
     assert int_kernel(sparse, ncols) == kernel

@@ -27,13 +27,10 @@ from stabloci.errors import EnumerationBoundExceeded, UnknownIndex
 from stabloci.hull import HullPosition, closest_point_to_origin, closest_points_by_subset
 from stabloci.linalg import dot, norm_sq, vec, zero_vec
 from stabloci.torus import (
-    Chamber,
     Status,
     StratumIndex,
-    chamber_contains_zero_interior,
     stratification_indices,
     limit_point,
-    lowest_bounded_chamber,
     stratum_of,
     stratum_quotient_data,
     torus_verdict,
@@ -64,22 +61,23 @@ def test_verdict_matches_witness_position():
 
 def test_lowest_bounded_chamber_examples():
     g = GradingData(gm_weights=(0, 0, 1, 2))
-    assert lowest_bounded_chamber(g) == Chamber(Fraction(0), Fraction(1))
+    assert g.chamber() == (Fraction(0), Fraction(1))
     g2 = GradingData(gm_weights=(5, 5, 5))
-    assert lowest_bounded_chamber(g2) == Chamber(Fraction(5), Fraction(5))
+    assert g2.chamber() == (Fraction(5), Fraction(5))
     g3 = GradingData(gm_weights=(-2, 3))
-    assert lowest_bounded_chamber(g3) == Chamber(Fraction(-2), Fraction(3))
+    assert g3.chamber() == (Fraction(-2), Fraction(3))
 
 
 def test_chamber_uses_the_twist():
     g = GradingData(gm_weights=(0, 0, 1, 2), character_twist=Fraction(1, 2))
-    assert lowest_bounded_chamber(g) == Chamber(Fraction(-1, 2), Fraction(1, 2))
+    assert g.chamber() == (Fraction(-1, 2), Fraction(1, 2))
 
 
 def test_chamber_interior_examples():
-    assert chamber_contains_zero_interior(Chamber(Fraction(-1), Fraction(2)))
-    assert not chamber_contains_zero_interior(Chamber(Fraction(0), Fraction(1)))
-    assert chamber_contains_zero_interior(Chamber(Fraction(0), Fraction(0)))
+    # chambers (-1, 2), (0, 1) and the single point 0
+    assert GradingData(gm_weights=(-1, 2)).is_adapted()
+    assert not GradingData(gm_weights=(0, 1)).is_adapted()
+    assert GradingData(gm_weights=(0, 0)).is_adapted()
 
 
 def test_limit_point_examples():
