@@ -164,6 +164,13 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
     argvs.append(("chamber_chi_1__flat_line", ["chamber", "--action", flat, "--chi=1"]))
     argvs.append(("graded_chi_1__flat_line", ["graded", "--action", flat, "--chi=1"]))
     argvs.append(("hatstable__flat_line", ["hatstable", "--action", flat, "--q=1/2"]))
+    # Two generators on a two-coordinate minimal locus (weights 0, 0 below
+    # 1, 1), so both condition checks decide by the minors of the locus
+    # matrix: a common zero at [0:1], a full-dimensional generic stabiliser
+    # that stays constant, and an irreducible quadratic gcd.
+    for stem in ("minors_split", "minors_shared", "minors_mixed"):
+        doc = f"tests/golden/cli/{stem}.json"
+        argvs.append((f"graded__{stem}", ["graded", "--action", doc, "--chi=1/2"]))
     # Points with mixed denominators and signs, so the nonvanishing test
     # evaluates at rational coordinates.  Up to degree 8 the jet-group
     # invariants are the powers of x0, so every witness there has degree 1
