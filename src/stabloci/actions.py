@@ -15,7 +15,7 @@ bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -303,11 +303,8 @@ def parse_document(text: str) -> ActionDocument:
     bounds = Bounds()
     if raw.get("bounds") is not None:
         braw = _require(raw, "bounds", dict, "document")
-        kwargs = {}
-        for key in ("max_degree", "product_m", "subset_cap", "bidegree_cap"):
-            if key in braw:
-                kwargs[key] = _require(braw, key, int, "bounds")
-        bounds = Bounds(**kwargs)
+        keys = [f.name for f in fields(Bounds) if f.name in braw]
+        bounds = Bounds(**{key: _require(braw, key, int, "bounds") for key in keys})
 
     return ActionDocument(action=action, points=tuple(points), bounds=bounds)
 
@@ -327,12 +324,7 @@ def document_to_dict(doc: ActionDocument) -> dict:
             {"name": name, "coords": [format_fraction(x) for x in p.coords]}
             for name, p in doc.points
         ],
-        "bounds": {
-            "max_degree": doc.bounds.max_degree,
-            "product_m": doc.bounds.product_m,
-            "subset_cap": doc.bounds.subset_cap,
-            "bidegree_cap": doc.bounds.bidegree_cap,
-        },
+        "bounds": asdict(doc.bounds),
     }
     if action.grading is not None:
         out["grading"] = {

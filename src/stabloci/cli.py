@@ -143,7 +143,7 @@ def _load_graded_document(args) -> ActionDocument:
     if len(parts) != 1:
         raise ParseError(f"the grading twist takes one --chi entry, got {len(parts)}")
     if doc.action.grading is None:
-        return doc
+        raise ParseError("the document has no grading to twist; drop --chi")
     grading = GradingData(
         gm_weights=doc.action.grading.gm_weights, character_twist=parse_fraction(parts[0])
     )

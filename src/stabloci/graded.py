@@ -13,9 +13,14 @@ entries of N, so membership in the sweep of the fixed locus is exactly
 solvability of a finite polynomial system; for one-dimensional groups a
 univariate gcd computation.
 
-Stabiliser dimensions are exact kernel computations.  On the minimal
-fixed locus the stabiliser condition collapses to a linear one (the
-generators raise weights, so "fixes the point projectively" means
+Stabiliser dimensions are exact kernel computations on one span matrix
+[x | N_1 x ... N_u x]: as x != 0, the kernel of (lambda, c) ->
+lambda x + sum c_j N_j x projects isomorphically onto the stabiliser
+{c : (sum c_j N_j) x in span(x)}.  At a point its kernel is the
+stabiliser; with entries linear forms in x its rank over the function
+field gives the generic dimension; its 2x2 minors against x cut out the
+blow-up centre of one generator.  On the minimal fixed locus lambda = 0
+(the generators raise weights, so "fixes the point projectively" means
 "kills the vector"), which makes the two semistability-equals-stability
 conditions exactly decidable for one generator, or for fixed loci of
 coordinate dimension at most two; larger cases fall back to seeded
@@ -28,9 +33,9 @@ rational root and kernel, and with them every witness, unchanged.  The
 translate series run on x times the lcm of its denominators and on each
 generator N times the lcm L of its own, as K! L^K sum_k s^k/k! N^k,
 K + 1 the size; their product is divided out once, at the end, which
-keeps the gcd and root finding on small coefficients.  The stabiliser
-rows take the point's primitive integer vector and one common lcm for
-all generators, since a factor per generator would rescale that
+keeps the gcd and root finding on small coefficients.  The span matrix
+at a point takes the point's primitive integer vector and one common
+lcm for all generators, since a factor per generator would rescale that
 generator's coordinate of the kernel.
 """
 
@@ -57,7 +62,6 @@ from .poly import (
     Exponent,
     MultiPoly,
     from_univariate_coeffs,
-    linear_forms,
     poly_gcd_univariate,
     rational_roots,
     univariate_coeffs,
@@ -67,6 +71,8 @@ from .torus import StabilityVerdict, Status, torus_verdict
 
 # seeded points a sampled minimal-locus check draws besides the coordinate points
 LOCUS_SAMPLES = 12
+# seeded grid points a multivariate sweep tries when elimination is undecided
+GRID_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -283,11 +289,9 @@ def _solve_vanishing(
     return ("no", None) if decided_no else ("unknown", None)
 
 
-def _grid_search(
-    conds: list[MultiPoly], num_vars: int, seed: int, samples: int
-) -> Vector | None:
+def _grid_search(conds: list[MultiPoly], num_vars: int, seed: int) -> Vector | None:
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(GRID_SAMPLES):
         point = tuple(
             Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(num_vars)
         )
@@ -334,7 +338,7 @@ def _exists_common_vanishing(
         return SweepCertificate(in_sweep=True, witness="rational witness", witness_params=witness)
     if outcome == "no":
         return SweepCertificate(in_sweep=False, witness="no solution (exact elimination)")
-    point = _grid_search(live, num_vars, seed, samples=200)
+    point = _grid_search(live, num_vars, seed)
     if point is not None:
         return SweepCertificate(in_sweep=True, witness="rational witness", witness_params=point)
     return SweepCertificate(
@@ -443,7 +447,17 @@ def hat_stable_minplus(
 
 def stab_dim_u(u: UnipotentData, x: ProjectivePoint) -> StabDimReport:
     """Dimension of the Lie-algebra stabiliser of the point: the c with
-    (sum c_j N_j) x in span(x), rows (N_j x)_i x_k - (N_j x)_k x_i, i < k."""
+    (sum c_j N_j) x in span(x).
+
+    The kernel of (lambda, c) -> lambda x + sum c_j N_j x projects onto
+    the stabiliser isomorphically, as x != 0, so this takes the kernel
+    of the n + 1 rows (x_i, (N_1 x)_i, ..., (N_u x)_i) and drops lambda.
+    The x column always holds a pivot; generator column j is free exactly
+    when N_j x lies in span(x, N_1 x, ..., N_(j-1) x), which is when
+    N_j x ^ x lies in the span of the N_i x ^ x before it, so the basis
+    is the one of the pair rows (N_j x)_i x_k - (N_j x)_k x_i, vector for
+    vector.
+    """
     if u.dim == 0:
         return StabDimReport(point=x, dim=0, kernel_basis=())
     if u.generators[0].rows != len(x.coords):
@@ -456,12 +470,9 @@ def stab_dim_u(u: UnipotentData, x: ProjectivePoint) -> StabDimReport:
         for i, j, c in entries:
             image[i] += c * p[j]
         images.append([(common // scale) * v for v in image])
-    rows = [
-        {col: v for col, im in enumerate(images) if (v := im[i] * p[k] - im[k] * p[i])}
-        for i, k in combinations(range(len(p)), 2)
-    ]
-    kernel = int_kernel(rows, u.dim)
-    return StabDimReport(point=x, dim=len(kernel), kernel_basis=tuple(kernel))
+    rows = [{col: v for col, v in enumerate(row) if v} for row in zip(p, *images)]
+    kernel = int_kernel(rows, u.dim + 1)
+    return StabDimReport(point=x, dim=len(kernel), kernel_basis=tuple(v[1:] for v in kernel))
 
 
 def _poly_matrix_rank(rows: Sequence[Sequence[MultiPoly]]) -> int:
@@ -497,25 +508,30 @@ def _poly_matrix_rank(rows: Sequence[Sequence[MultiPoly]]) -> int:
 def generic_stab_dim(u: UnipotentData, n: int) -> int:
     """Minimum stabiliser dimension over the whole space, exactly.
 
-    The span condition is linear in the Lie coefficients with entries
-    polynomial in the point; its rank over the function field is the
-    generic rank, attained off a proper closed subset, so the minimal
-    stabiliser dimension is the corank.
+    The stabiliser at x is the kernel of the span matrix
+    [x | N_1 x ... N_u x] with lambda dropped (see `stab_dim_u`), so its
+    dimension is u + 1 minus the rank.  That rank over the function field
+    is the generic rank, attained off a proper closed subset, so the
+    minimal stabiliser dimension is u + 1 minus it.
     """
     if u.dim == 0:
         return 0
     if u.generators[0].rows != n + 1:
         raise DimensionMismatch("coordinate count differs from the generators")
-    columns = [_span_minors(g) for g in u.generators]
-    return u.dim - _poly_matrix_rank(list(zip(*columns)))
+    return u.dim + 1 - _poly_matrix_rank(_span_matrix(u.generators, range(n + 1)))
 
 
-def _span_minors(gen: RatMatrix) -> list[MultiPoly]:
-    """The 2x2 minors of (N x | x), one per coordinate pair, in the point x."""
-    num_vars = gen.rows
-    xs = [MultiPoly.variable(num_vars, i) for i in range(num_vars)]
-    image = linear_forms(gen.entries, range(num_vars))
-    return [image[i].mul(xs[k]).sub(image[k].mul(xs[i])) for i, k in combinations(range(num_vars), 2)]
+def _span_matrix(generators: Sequence[RatMatrix], columns: Sequence[int]) -> list[list[MultiPoly]]:
+    """The rows (x_i, (N_1 x)_i, ..., (N_u x)_i) of [x | N_1 x ... N_u x]
+    for x supported on `columns`, as linear forms in x's entries there."""
+    num_vars = len(columns)
+    units = [tuple(int(i == k) for i in range(num_vars)) for k in range(num_vars)]
+    where = {j: k for k, j in enumerate(columns)}
+    return [
+        [MultiPoly(num_vars, {units[where[i]]: 1} if i in where else None)]
+        + [MultiPoly(num_vars, {units[k]: g.entries[i][j] for k, j in enumerate(columns)}) for g in generators]
+        for i in range(generators[0].rows)
+    ]
 
 
 # -- semistability-equals-stability conditions ----------------------------
@@ -551,12 +567,10 @@ def _binary_forms_common_zero(
     return True, None, f"gcd of degree {degree} (irrational zero)"
 
 
-def _sample_block_points(
-    block: Sequence[int], n: int, seed: int, samples: int
-) -> list[ProjectivePoint]:
+def _sample_block_points(block: Sequence[int], n: int, seed: int) -> list[ProjectivePoint]:
     rng = random.Random(seed)
     points = [_point_on_block(block, [Fraction(1 if i == k else 0) for i in range(len(block))], n) for k in range(len(block))]
-    for _ in range(samples):
+    for _ in range(LOCUS_SAMPLES):
         coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in block]
         if any(c != 0 for c in coords):
             points.append(_point_on_block(block, coords, n))
@@ -611,15 +625,15 @@ def _minimal_locus_report(
         if not holds:
             witness = z
     elif branch == "minors":
-        columns = [linear_forms(g.entries, block) for g in u.generators]
-        minors = _poly_minors(list(zip(*columns)), u.dim - target_dim)
+        rows = [row[1:] for row in _span_matrix(u.generators, block)]
+        minors = _poly_minors(rows, u.dim - target_dim)
         exists, witness_coords, fields["detail"] = _binary_forms_common_zero(minors)
         holds = not exists
         if witness_coords:
             witness = _point_on_block(block, witness_coords, n)
     else:
         holds = True
-        for z in _sample_block_points(block, n, seed, LOCUS_SAMPLES):
+        for z in _sample_block_points(block, n, seed):
             dim_z = stab_dim_u(u, z).dim
             if dim_z != target_dim:
                 holds, witness, fields["dim"] = False, z, dim_z
@@ -740,7 +754,8 @@ def blowup_centre(action: WeightedAction) -> BlowupCentre:
             f"exact centre identification requires one generator, got {u.dim}"
         )
     gen = u.generators[0]
-    equations = [minor for minor in _span_minors(gen) if not minor.is_zero()]
+    rows = [(image, x) for x, image in _span_matrix(u.generators, range(gen.rows))]
+    equations = [minor for minor in _poly_minors(rows, 2) if not minor.is_zero()]
     kernel = rref_kernel(gen)
     lowest = set(g.min_weight_indices())
     meets = any(any(v[i] != 0 for i in lowest) for v in kernel)

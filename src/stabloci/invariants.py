@@ -75,7 +75,6 @@ class GradedInvariantSpace:
 
     degree: int
     basis: tuple[MultiPoly, ...]
-    constraints: str
     gm_weights: tuple[Fraction, ...] | None = None
     bidegree: tuple[int, int] | None = None
 
@@ -202,13 +201,7 @@ def unipotent_invariants(
     for mono in monomials_of_degree(num_vars, degree):
         blocks.setdefault(-sum(map(mul, mono, gm_weights)) if graded else 0, []).append(mono)
     basis, weights = _block_basis(blocks, [entries for _, entries in u.integer_generators], num_vars)
-    return GradedInvariantSpace(
-        degree=degree,
-        basis=basis,
-        constraints=f"annihilated by {u.dim} unipotent derivation(s), degree {degree}"
-        + (", split by grading weight" if graded else ""),
-        gm_weights=weights if graded else None,
-    )
+    return GradedInvariantSpace(degree=degree, basis=basis, gm_weights=weights if graded else None)
 
 
 def _coordinate_weights_sym(n: int) -> list[int]:
@@ -262,12 +255,7 @@ def sl2_invariants_binary_form(
     raising, lowering = sl2_entries(n)
     block = {0: _monomials_of_weight(_coordinate_weights_sym(n), d, 0)}
     basis, weights = _block_basis(block, [raising], n + 1, lowering)
-    return GradedInvariantSpace(
-        degree=d,
-        basis=basis,
-        constraints=f"sl2 raising+lowering kernel at weight 0, binary {n}-form",
-        gm_weights=weights,
-    )
+    return GradedInvariantSpace(degree=d, basis=basis, gm_weights=weights)
 
 
 def _bidegree_weight_zero(n: int, a: int, b: int) -> list[Exponent]:
@@ -292,13 +280,7 @@ def product_sl2_invariants(
     plane, form = sl2_entries(1), sl2_entries(n, 3)
     block = {0: _bidegree_weight_zero(n, a, b)}
     basis, weights = _block_basis(block, [plane[0] + form[0]], 3 + n + 1, plane[1] + form[1])
-    return GradedInvariantSpace(
-        degree=a + b,
-        basis=basis,
-        constraints=f"sl2 invariants of bidegree ({a},{b}) on plane x forms",
-        gm_weights=weights,
-        bidegree=(a, b),
-    )
+    return GradedInvariantSpace(degree=a + b, basis=basis, gm_weights=weights, bidegree=(a, b))
 
 
 def restriction_to_slice(space: GradedInvariantSpace, n: int) -> GradedInvariantSpace:
@@ -323,11 +305,7 @@ def restriction_to_slice(space: GradedInvariantSpace, n: int) -> GradedInvariant
     for q in basis:
         if any(_image_terms(raising, q.terms).values()):
             raise AssertionError("restricted invariant escaped the additive-group kernel")
-    return GradedInvariantSpace(
-        degree=b,
-        basis=tuple(basis),
-        constraints=f"slice restriction of bidegree ({a},{b}) invariants",
-    )
+    return GradedInvariantSpace(degree=b, basis=tuple(basis))
 
 
 @dataclass(frozen=True)

@@ -121,13 +121,6 @@ class RatMatrix:
             rows[i][j] = x
         return RatMatrix(rows)
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(0)] * cols for _ in range(rows)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
     def nonzero_entries(self) -> list[tuple[int, int, Fraction]]:
         """(i, j, value) for every nonzero entry, row by row."""
         return [(i, j, x) for i, row in enumerate(self.entries) for j, x in enumerate(row) if x]

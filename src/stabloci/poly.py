@@ -156,18 +156,12 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly({self.num_vars}, {dict(self.sorted_terms())!r})"
 
-    def format(self, names: Sequence[str] | None = None) -> str:
+    def format(self) -> str:
         if self.is_zero():
             return "0"
-        if names is None:
-            names = [f"x{i}" for i in range(self.num_vars)]
         parts = []
         for exp, c in self.sorted_terms():
-            factors = [
-                names[i] if e == 1 else f"{names[i]}^{e}"
-                for i, e in enumerate(exp)
-                if e
-            ]
+            factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exp) if e]
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -177,17 +171,6 @@ class MultiPoly:
             else:
                 parts.append(str(c) + "*" + "*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def linear_forms(rows: Sequence[Sequence[Fraction]], columns: Sequence[int]) -> list[MultiPoly]:
-    """One linear form per row, sum_k row[columns[k]] * x_k.
-
-    The forms live in len(columns) variables.  For the rows of a matrix
-    N with every column kept, form i is sum_j N[i][j] x_j.
-    """
-    num_vars = len(columns)
-    units = [tuple(int(i == k) for i in range(num_vars)) for k in range(num_vars)]
-    return [MultiPoly(num_vars, {units[k]: row[j] for k, j in enumerate(columns)}) for row in rows]
 
 
 # -- univariate utilities ---------------------------------------------

@@ -38,7 +38,10 @@ from Fraction `MultiPoly.mul` rows, and the nonvanishing test by Fraction
 The graded references are the Fraction paths the library ran before its
 verdicts went integer: the stabiliser's span rows from Fraction
 matrix-vector products, and the translate as the exponential series
-summed with a division by k at each step.  `matrix_rank` reads the rank
+summed with a division by k at each step.  The span minors are the
+quadratic pair polynomials the library ranked for the generic stabiliser
+and read as blow-up centre equations before both went through the span
+matrix [x | N_1 x ... N_u x].  `matrix_rank` reads the rank
 off the library's `rref`.
 
 The weight-ladder references are the chamber, sequence and adaptedness
@@ -414,6 +417,20 @@ def span_condition_rows(generators, coords):
         [im[i] * coords[k] - im[k] * coords[i] for im in images]
         for i, k in combinations(range(len(coords)), 2)
     ]
+
+
+def reference_span_minors(gen):
+    """The 2x2 minors (N x)_i x_k - (N x)_k x_i of (N x | x), one per
+    coordinate pair i < k, as quadratic polynomials in the point x."""
+    num_vars = gen.rows
+    xs = [MultiPoly.variable(num_vars, i) for i in range(num_vars)]
+    image = []
+    for row in gen.entries:
+        acc = MultiPoly.zero(num_vars)
+        for x, c in zip(xs, row):
+            acc = acc.add(x.scale(c))
+        image.append(acc)
+    return [image[i].mul(xs[k]).sub(image[k].mul(xs[i])) for i, k in combinations(range(num_vars), 2)]
 
 
 def matrix_rank(rows):

@@ -93,7 +93,7 @@ def test_jordan_cubics_is_the_spec_action():
     assert action.grading.gm_weights == (3, 1, -1, -3)
     assert action.unipotent.grading_weights == (2,)
     n = action.unipotent.generators[0]
-    assert n.entry(0, 1) == 1 and n.entry(1, 2) == 2 and n.entry(2, 3) == 3
+    assert n.entries[0][1] == 1 and n.entries[1][2] == 2 and n.entries[2][3] == 3
 
 
 def test_jordan_defining_representation():
@@ -106,8 +106,8 @@ def test_jordan_two_blocks_block_diagonal():
     action = jordan_embed_ga([1, 1])
     assert action.grading.gm_weights == (1, -1, 1, -1)
     n = action.unipotent.generators[0]
-    assert n.entry(0, 1) == 1 and n.entry(2, 3) == 1
-    assert n.entry(0, 3) == 0 and n.entry(2, 1) == 0
+    assert n.entries[0][1] == 1 and n.entries[2][3] == 1
+    assert n.entries[0][3] == 0 and n.entries[2][1] == 0
     # commutation invariant is enforced at construction; rebuild to confirm
     WeightedAction(
         torus=action.torus, grading=action.grading, unipotent=action.unipotent

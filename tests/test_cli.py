@@ -236,6 +236,25 @@ def test_grading_twist_takes_one_chi_entry(argv):
     assert run(argv + ["--chi", "-2"])[0] == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chamber", "--action", corpus_path("torus_line.json")],
+        ["graded", "--action", corpus_path("torus_line.json")],
+        ["hatstable", "--action", corpus_path("torus_line.json"), "--q", "1/2"],
+    ],
+    ids=["chamber", "graded", "hatstable"],
+)
+@pytest.mark.parametrize("chi", ["5", "-7/2"])
+def test_grading_twist_needs_a_grading(argv, chi):
+    """--chi twists the grading, so a document without one refuses it
+    instead of dropping it; without --chi the run is no parse error."""
+    code, out = run(argv + ["--chi", chi])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ") and "--chi" in out
+    assert run(argv)[0] in (EXIT_OK, EXIT_PRECONDITION)
+
+
 def test_torus_twist_takes_one_chi_entry_per_rank():
     doc = corpus_path("torus_rank2.json")
     for command in ("stability", "strata"):

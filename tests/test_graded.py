@@ -17,6 +17,7 @@ from oracles import (
     omega_sequence,
     rational_roots_with_multiplicity,
     reference_kernel,
+    reference_span_minors,
     reference_translate,
     span_condition_rows,
 )
@@ -40,6 +41,7 @@ from stabloci.errors import (
 from stabloci.graded import (
     ConditionVerdict,
     _all_roots_rational,
+    _poly_matrix_rank,
     adapted_window,
     blowup_centre,
     check_condition_cstar,
@@ -253,6 +255,46 @@ def test_stab_dim_kernel_matches_fraction_span_rows(case):
     u, x = case
     rows = span_condition_rows(u.generators, x.coords)
     assert stab_dim_u(u, x).kernel_basis == tuple(reference_kernel(rows, u.dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scaled_generators())
+def test_generic_stab_dim_matches_span_minor_rank(case):
+    """The linear span matrix [x | N_1 x ... N_u x] has the generic
+    stabiliser of the quadratic pair minors."""
+    u, _ = case
+    columns = [reference_span_minors(g) for g in u.generators]
+    assert generic_stab_dim(u, u.generators[0].rows - 1) == u.dim - _poly_matrix_rank(list(zip(*columns)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scaled_generators())
+def test_generic_stab_dim_is_least_at_seeded_integer_points(case):
+    """No point has a smaller stabiliser than the generic one, and 20
+    seeded integer points attain it (the rank drops only on a proper
+    subvariety cut out in degree at most u + 1)."""
+    u, _ = case
+    size = u.generators[0].rows
+    rng = random.Random(0)
+    points = [[Fraction(rng.randint(-50, 50)) for _ in range(size)] for _ in range(20)]
+    dims = [len(reference_kernel(span_condition_rows(u.generators, p), u.dim)) for p in points if any(p)]
+    generic = generic_stab_dim(u, size - 1)
+    assert all(generic <= d for d in dims) and generic == min(dims)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scaled_generators())
+def test_blowup_centre_equations_are_the_nonzero_span_minors(case):
+    """One generator at a time; the equations read the generator alone, so
+    the action is assembled past the grading check that a random
+    triangular generator fails."""
+    u, _ = case
+    size = u.generators[0].rows
+    for gen in u.generators:
+        action = WeightedAction(torus=TorusWeights(1, ((0,),) * size), grading=GradingData((0,) * size))
+        object.__setattr__(action, "unipotent", UnipotentData(generators=(gen,), grading_weights=(1,)))
+        expected = tuple(m for m in reference_span_minors(gen) if not m.is_zero())
+        assert blowup_centre(action).equations == expected
 
 
 _root = st.fractions(min_value=-4, max_value=4, max_denominator=3)
