@@ -171,6 +171,12 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
     for stem in ("minors_split", "minors_shared", "minors_mixed"):
         doc = f"tests/golden/cli/{stem}.json"
         argvs.append((f"graded__{stem}", ["graded", "--action", doc, "--chi=1/2"]))
+    # The torus_rank2 weights under a label and point names that the JSON
+    # writer must escape: non-ASCII, a surrogate pair, quote, backslash,
+    # slash and control characters.
+    escapes = "tests/golden/cli/escapes.json"
+    argvs.append(("stability__escapes", ["stability", "--action", escapes]))
+    argvs.append(("strata__escapes", ["strata", "--action", escapes]))
     # Points with mixed denominators and signs, so the nonvanishing test
     # evaluates at rational coordinates.  Up to degree 8 the jet-group
     # invariants are the powers of x0, so every witness there has degree 1
