@@ -18,6 +18,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -343,7 +344,65 @@ def document_to_dict(doc: ActionDocument) -> dict:
 
 
 def serialize_document(doc: ActionDocument) -> str:
-    return json.dumps(document_to_dict(doc), sort_keys=True, indent=2) + "\n"
+    return dump_json(document_to_dict(doc)) + "\n"
+
+
+def dump_json(obj) -> str:
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)`, in one pass.
+
+    Takes str-keyed dicts, lists, tuples (written as lists), strings,
+    ints, booleans and None, the types every report and document is built
+    from; anything else, floats included, raises TypeError.  Before
+    Python 3.13 the stdlib writes indented JSON through a pure-Python
+    generator encoder (its C encoder runs only without `indent`); this is
+    one recursive function appending to one list, with strings escaped by
+    the C `encode_basestring_ascii`.
+    """
+    chunks: list[str] = []
+    _write_json(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(obj, newline: str, emit) -> None:
+    """Emit the chunks of `obj`; `newline` is the line break and indent at its depth."""
+    if isinstance(obj, str):
+        emit(encode_basestring_ascii(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            emit(sep)
+            sep = "," + inner
+            _write_json(item, inner, emit)
+        emit(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit(sep)
+            sep = "," + inner
+            emit(encode_basestring_ascii(key))
+            emit(": ")
+            _write_json(obj[key], inner, emit)
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # -- built-in actions --------------------------------------------------

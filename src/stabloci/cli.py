@@ -3,6 +3,8 @@
 Batch semantics: parse an action document, run one job over its point
 panel, emit a deterministic report.  JSON output is byte-identical for
 identical jobs (including the seed); timings appear only in text mode.
+`actions.dump_json` writes it: the same text as
+`json.dumps(payload, sort_keys=True, indent=2)`, in one pass.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
 4 enumeration or degree bound exhausted.
@@ -25,6 +27,7 @@ from .actions import (
     ActionDocument,
     GradingData,
     ProjectivePoint,
+    dump_json,
     parse_document,
     parse_point_entry,
 )
@@ -43,12 +46,8 @@ EXIT_PRECONDITION = 3
 EXIT_BOUNDS = 4
 
 
-def _fr(x) -> str:
-    return format_fraction(x)
-
-
 def _frs(xs) -> list[str]:
-    return [_fr(x) for x in xs]
+    return [format_fraction(x) for x in xs]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,8 +213,8 @@ def cmd_chamber(args) -> dict:
     payload = {
         "command": "chamber",
         "label": doc.action.label,
-        "chi": _fr(g.character_twist),
-        "chamber": {"lo": _fr(lo), "hi": _fr(hi)},
+        "chi": format_fraction(g.character_twist),
+        "chamber": {"lo": format_fraction(lo), "hi": format_fraction(hi)},
         "contains_zero_interior": g.is_adapted(),
         "omega": _frs(g.omega()),
         "window": None,
@@ -223,9 +222,9 @@ def cmd_chamber(args) -> dict:
     if not g.is_trivial():
         window = graded.adapted_window(g)
         payload["window"] = {
-            "lo": _fr(window.lo),
-            "hi": _fr(window.hi),
-            "well_adapted": _fr(window.well_adapted_hi),
+            "lo": format_fraction(window.lo),
+            "hi": format_fraction(window.hi),
+            "well_adapted": format_fraction(window.well_adapted_hi),
         }
     return payload
 
@@ -236,7 +235,7 @@ def cmd_strata(args) -> dict:
     cap = _bound(args.subset_cap, doc.bounds.subset_cap, "--subset-cap")
     strat = torus.stratification_indices(doc.action.torus, chi, cap)
     indices = [
-        {"beta": _frs(idx.beta), "norm_sq": _fr(idx.norm_sq), "supports": [list(s) for s in supports]}
+        {"beta": _frs(idx.beta), "norm_sq": format_fraction(idx.norm_sq), "supports": supports}
         for idx, supports in strat.assignments
     ]
     # Panel points are dimension-checked and nonzero at parse time, so
@@ -245,7 +244,7 @@ def cmd_strata(args) -> dict:
     rows = []
     for name, p in doc.points:
         idx = index_of[p.support()]
-        rows.append({"point": name, "beta": _frs(idx.beta), "norm_sq": _fr(idx.norm_sq)})
+        rows.append({"point": name, "beta": _frs(idx.beta), "norm_sq": format_fraction(idx.norm_sq)})
     quotients = [
         {
             "beta": _frs(data.index.beta),
@@ -253,7 +252,7 @@ def cmd_strata(args) -> dict:
             "above_indices": list(data.above_indices),
             "below_indices": list(data.below_indices),
             "adapted_twist": _frs(data.adapted_twist),
-            "delta": _fr(data.delta),
+            "delta": format_fraction(data.delta),
         }
         for data in strat.quotient_data()
     ]
@@ -289,7 +288,7 @@ def cmd_graded(args) -> dict:
     payload: dict = {
         "command": "graded",
         "label": action.label,
-        "chi": _fr(g.character_twist),
+        "chi": format_fraction(g.character_twist),
         "conditions": {
             "cstar": _condition_payload(cstar),
             "cstar_tilde": _condition_payload(cstar_tilde),
@@ -326,7 +325,7 @@ def cmd_hatstable(args) -> dict:
     return {
         "command": "hatstable",
         "label": doc.action.label,
-        "q": _fr(q),
+        "q": format_fraction(q),
         "m": m,
         "rows": rows,
     }
@@ -462,7 +461,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     elapsed = time.perf_counter() - start
     if args.format == "text":
         return EXIT_OK, _render_text(payload, elapsed)
-    return EXIT_OK, json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return EXIT_OK, dump_json(payload) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

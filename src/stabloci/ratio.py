@@ -13,8 +13,7 @@ from fractions import Fraction
 from .errors import MalformedDocument
 
 
-def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
+def format_fraction(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -8,6 +8,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     reference_block_diagonal,
@@ -24,6 +26,7 @@ from stabloci.actions import (
     UnipotentData,
     WeightedAction,
     aut_p112_example,
+    dump_json,
     jet_group_example,
     jordan_embed_ga,
     parse_document,
@@ -166,6 +169,36 @@ def test_roundtrip_on_corpus():
         assert again.action == doc.action
         assert again.points == doc.points
         assert again.bounds == doc.bounds
+
+
+def _json_trees(depth: int):
+    """JSON values nested up to `depth` containers deep, tuples among them."""
+    leaves = st.none() | st.booleans() | st.integers() | st.text()
+    if depth == 0:
+        return leaves
+    child = _json_trees(depth - 1)
+    return (
+        leaves
+        | st.lists(child, max_size=4)
+        | st.lists(child, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), child, max_size=4)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_trees(4))
+def test_dump_json_matches_the_stdlib_indent_encoder(value):
+    assert dump_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, [0.0], {"a": float("nan")}, {1, 2}, frozenset(), {1: "a"}, {"a": {(0,): 1}}, Fraction(1, 2)],
+    ids=["float", "nested_float", "nan", "set", "frozenset", "int_key", "tuple_key", "fraction"],
+)
+def test_dump_json_rejects_types_no_report_holds(value):
+    with pytest.raises(TypeError):
+        dump_json(value)
 
 
 def test_parse_simple_torus_document():

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, deterministic bytes, golden corpus."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,23 @@ def test_strata_subset_cap_defaults_to_the_document_bound(tmp_path):
     assert "cap 3" in out
     code, out = run(["strata", "--action", str(path), "--subset-cap", "6"])
     assert code == EXIT_OK
+
+
+def test_strata_at_the_documented_subset_cap(tmp_path):
+    weights = [[a, b] for a in range(-2, 2) for b in range(-2, 2)]
+    doc = {"label": "cap16", "n": 15, "torus": {"rank": 2, "weights": weights}, "bounds": {"subset_cap": 16}}
+    path = tmp_path / "cap16.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["strata", "--action", str(path), "--chi=1/3,-1/5", "--subset-cap", "16"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    supports = [s for index in payload["indices"] for s in index["supports"]]
+    assert all(s == sorted(set(s)) for s in supports)
+    masks = [sum(1 << i for i in s) for s in supports]
+    assert sorted(masks) == list(range(1, 2**16))
+    norms = [Fraction(index["norm_sq"]) for index in payload["indices"]]
+    assert norms == sorted(norms)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
