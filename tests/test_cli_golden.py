@@ -140,6 +140,8 @@ def _record_argvs() -> list[tuple[str, list[str]]]:
     # Sizes where the derivation and product matrices reach hundreds of columns.
     argvs.append(("invariants_sl2__8_d8", ["invariants", "--sl2", "8", "--max-degree", "8"]))
     argvs.append(("invariants_sl2__6_d10", ["invariants", "--sl2", "6", "--max-degree", "10"]))
+    argvs.append(("invariants_sl2__8_d10", ["invariants", "--sl2", "8", "--max-degree", "10"]))
+    argvs.append(("invariants_sl2__10_d8", ["invariants", "--sl2", "10", "--max-degree", "8"]))
     argvs.append(
         ("invariants_d10__jordan_3", ["invariants", "--action", "corpus/jordan_3.json", "--max-degree", "10"])
     )
