@@ -339,11 +339,10 @@ def cmd_invariants(args) -> dict:
         bound = _bound(args.max_degree, 6, "--max-degree")
         dims = []
         for d in range(1, bound + 1):
-            space = invariants.sl2_invariants_binary_form(n, d, degree_cap=max(bound, 12))
             dims.append(
                 {
                     "degree": d,
-                    "dim": space.dim,
+                    "dim": invariants.sl2_invariant_dimension(n, d, degree_cap=max(bound, 12)),
                     "oracle": invariants.sl2_weight_counting_dimension(n, d),
                 }
             )

@@ -41,6 +41,12 @@ of the nonvanishing test, taken at the point's primitive integer vector
 l x, l > 0.  A degree-d invariant is homogeneous, so c p(l x) =
 c l^d p(x), which is zero exactly when p(x) is.
 
+The CLI's SL(2) table builds no basis: `sl2_invariant_dimension` counts
+the weight-zero monomials minus the exact rank (`linalg.certified_rank`)
+of the kernel path's raising rows, kept in first-seen order, with the
+columns renumbered backwards; that order keeps the fill-in small, while
+reversing the monomial list, and so the rows too, is 3-10x slower.
+
 The SL(2) blocks are listed directly, by a recursion over the weights
 that never enters a branch without a weight-zero completion
 (`_monomials_of_weight`), not filtered out of all C(n + d, d) monomials
@@ -63,7 +69,7 @@ from typing import Sequence
 
 from .actions import ProjectivePoint, UnipotentData, sl2_entries
 from .errors import DegreeBoundExceeded, DimensionMismatch, ZeroForm
-from .linalg import IntEntries, Vector, int_echelon, int_kernel, primitive_int_vec, row_space_basis
+from .linalg import IntEntries, Vector, certified_rank, int_echelon, int_kernel, primitive_int_vec, row_space_basis
 from .poly import Exponent, MultiPoly, max_root_multiplicity
 
 Entries = Sequence[tuple[int, int, Fraction | int]]
@@ -125,14 +131,14 @@ def _image_terms(entries: Entries, terms: dict[Exponent, Fraction | int]) -> dic
     return out
 
 
-def _kernel_on_monomials(operators: Sequence[IntEntries], monos: Sequence[Exponent]) -> list[Vector]:
-    """Joint kernel of derivations restricted to a span of monomials.
+def _derivation_rows(operators: Sequence[IntEntries], monos: Sequence[Exponent]) -> list[dict[int, int]]:
+    """The matrix of derivations on a span of monomials, as sparse rows.
 
     The derivations come as integer entry lists.  One sparse integer row
-    per operator and image monomial, holding the coefficients of that
-    monomial in the images of the span, written straight from the
-    exponent tuples; a coefficient that cancels leaves its row, so the
-    rows go to `int_kernel` as built.
+    per operator and image monomial, in order of first appearance along
+    `monos`, holding the coefficients of that monomial in the images of
+    the span, written straight from the exponent tuples; a coefficient
+    that cancels leaves its row, so the rows go to elimination as built.
     """
     rows: dict[tuple[int, Exponent], dict[int, int]] = {}
     for c, mono in enumerate(monos):
@@ -144,7 +150,7 @@ def _kernel_on_monomials(operators: Sequence[IntEntries], monos: Sequence[Expone
                     row[c] = y
                 else:
                     del row[c]
-    return int_kernel(list(rows.values()), len(monos))
+    return list(rows.values())
 
 
 def _block_basis(
@@ -168,7 +174,7 @@ def _block_basis(
     weights: list[Fraction] = []
     for w in sorted(blocks):
         monos = blocks[w]
-        for v in _kernel_on_monomials(operators, monos):
+        for v in int_kernel(_derivation_rows(operators, monos), len(monos)):
             if lowering is not None:
                 terms = {m: x for m, x in zip(monos, primitive_int_vec(v)) if x}
                 if any(_image_terms(lowering, terms).values()):
@@ -240,6 +246,15 @@ def _monomials_of_weight(weights: Sequence[int], degree: int, target: int) -> li
     return out
 
 
+def _sl2_weight_zero(n: int, d: int, degree_cap: int) -> list[Exponent]:
+    """The weight-zero monomials of degree d in the coefficients of a binary n-form."""
+    if n < 1:
+        raise DimensionMismatch("form degree must be >= 1")
+    if d < 0 or d > degree_cap:
+        raise DegreeBoundExceeded(f"degree {d} outside [0, {degree_cap}]")
+    return _monomials_of_weight(_coordinate_weights_sym(n), d, 0)
+
+
 def sl2_invariants_binary_form(
     n: int, d: int, degree_cap: int = 12
 ) -> GradedInvariantSpace:
@@ -248,14 +263,19 @@ def sl2_invariants_binary_form(
     Kernel of the raising derivation on the torus weight-zero block,
     checked against the lowering derivation.
     """
-    if n < 1:
-        raise DimensionMismatch("form degree must be >= 1")
-    if d < 0 or d > degree_cap:
-        raise DegreeBoundExceeded(f"degree {d} outside [0, {degree_cap}]")
     raising, lowering = sl2_entries(n)
-    block = {0: _monomials_of_weight(_coordinate_weights_sym(n), d, 0)}
+    block = {0: _sl2_weight_zero(n, d, degree_cap)}
     basis, weights = _block_basis(block, [raising], n + 1, lowering)
     return GradedInvariantSpace(degree=d, basis=basis, gm_weights=weights)
+
+
+def sl2_invariant_dimension(n: int, d: int, degree_cap: int = 12) -> int:
+    """The dimension of `sl2_invariants_binary_form(n, d)`, from a rank
+    in the column order set out in the module docstring."""
+    monos = _sl2_weight_zero(n, d, degree_cap)
+    last = len(monos) - 1
+    rows = [{last - c: x for c, x in row.items()} for row in _derivation_rows([sl2_entries(n)[0]], monos)]
+    return len(monos) - certified_rank(rows, len(monos))
 
 
 def _bidegree_weight_zero(n: int, a: int, b: int) -> list[Exponent]:

@@ -16,7 +16,7 @@ primitive integer multiple first.  `rref` serves, through `solve` and
 restriction of the invariant tables; `rref_kernel` the graded
 minimal-locus and blow-up centre kernels.  The sparse readers take
 integer rows as they are: `int_kernel` the graded stabiliser rows and
-the derivation rows of `invariants._kernel_on_monomials`, which reach
+the derivation rows of `invariants._derivation_rows`, which reach
 hundreds of rows and columns with a few nonzeros per row, and
 `int_echelon` itself the hull classifier's row space and the product
 rows of `invariants.generator_degree_report`, built from each
@@ -24,6 +24,9 @@ invariant's primitive integer multiple, whose rank is the number of
 pivots.  When the echelon form has a pivot in every
 column the kernel is zero, and `int_kernel` returns it without the
 back-substitution; most graded blocks of an invariant ring end there.
+For the SL(2) dimension tables `certified_rank` takes the rank mod a
+prime p: rank_p <= rank <= min(rows, columns), so a rank mod p that
+reaches the bound is exact, and any other is taken again by `int_echelon`.
 The hull classifier and the closest-point table work on integer vectors
 (`primitive_int_vec`, `int_dot`) and take small integer determinants by
 Bareiss elimination (`int_det`).
@@ -37,6 +40,7 @@ from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 IntEntries = list[tuple[int, int, int]]
+RANK_PRIME = 32749  # the largest prime below 2^15: products mod it stay one machine digit
 
 
 def vec(entries: Iterable) -> Vector:
@@ -243,6 +247,31 @@ def int_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
                 pivots[lead], row, pivot = row, pivot, row
             row = _eliminate(row, pivot, lead)
     return pivots
+
+
+def certified_rank(rows: list[dict[int, int]], ncols: int, p: int = RANK_PRIME) -> int:
+    """The exact rank of sparse integer rows: the rank mod the prime p when
+    it reaches min(len(rows), ncols), else `int_echelon`'s.  Pivots go by
+    leading column, as in `int_echelon`, so the column order sets the fill-in."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {j: x % p for j, x in row.items() if x % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: x * inv % p for j, x in row.items()}
+                break
+            a = row[lead]
+            for j, x in pivot.items():
+                y = (row.get(j, 0) - a * x) % p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    rank = len(pivots)
+    return rank if rank == min(len(rows), ncols) else len(int_echelon(rows))
 
 
 def _reduce(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 
@@ -31,13 +32,14 @@ from stabloci.actions import (
     jet_group_example,
     jordan_embed_ga,
 )
+from stabloci import invariants, linalg
 from stabloci.errors import DegreeBoundExceeded, DimensionMismatch
 from stabloci.invariants import (
     GradedInvariantSpace,
     _bidegree_weight_zero,
     _coordinate_weights_sym,
     _image_terms,
-    _kernel_on_monomials,
+    _derivation_rows,
     _monomials_of_weight,
     generator_degree_report,
     invariant_nonvanishing_verdict,
@@ -45,11 +47,12 @@ from stabloci.invariants import (
     points_at_infinity_classifier,
     product_sl2_invariants,
     restriction_to_slice,
+    sl2_invariant_dimension,
     sl2_invariants_binary_form,
     sl2_weight_counting_dimension,
     unipotent_invariants,
 )
-from stabloci.linalg import RatMatrix, integer_entries
+from stabloci.linalg import RatMatrix, certified_rank, int_echelon, int_kernel, integer_entries
 from stabloci.poly import MultiPoly
 from stabloci.torus import Status, torus_verdict
 
@@ -161,7 +164,7 @@ def test_kernel_on_monomials_matches_reference_kernel(case):
     operators, monos = case
     rows = reference_derivation_rows(operators, monos)
     scaled = [integer_entries(op)[1] for op in operators]
-    assert _kernel_on_monomials(scaled, monos) == reference_kernel(rows, len(monos))
+    assert int_kernel(_derivation_rows(scaled, monos), len(monos)) == reference_kernel(rows, len(monos))
 
 
 @st.composite
@@ -403,6 +406,45 @@ def test_sl2_dimensions_match_weight_counting_oracle():
                 sl2_invariants_binary_form(n, d).dim
                 == sl2_weight_counting_dimension(n, d)
             ), (n, d)
+
+
+SMALL_SL2 = [(n, d) for n in range(1, 7) for d in range(0, 8)]
+
+
+@cache
+def _reference_sl2_nullity(n, d):
+    """Nullity of the dense raising rows on the weight-zero monomials, with
+    the columns reversed as on the rank path, which also keeps the dense
+    elimination's fractions small."""
+    monos = reference_monomials_of_weight([n - 2 * j for j in range(n + 1)], d, 0)
+    rows = reference_derivation_rows((reference_sym_raising(n),), monos)
+    return len(reference_kernel([r[::-1] for r in rows], len(monos)))
+
+
+def test_sl2_rank_path_is_the_kernel_dimension():
+    """The CLI's certified rank gives the basis path's dimension."""
+    for n, d in SMALL_SL2:
+        assert sl2_invariant_dimension(n, d) == sl2_invariants_binary_form(n, d).dim == _reference_sl2_nullity(n, d), (
+            n,
+            d,
+        )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sl2_rank_path_is_exact_at_small_primes(p, monkeypatch):
+    """At a prime that loses rank the exact fallback still gives the
+    dimension; some tables in range do lose rank, so it is exercised."""
+    fallbacks = []
+
+    def counted_echelon(rows):
+        fallbacks.append(len(rows))
+        return int_echelon(rows)
+
+    monkeypatch.setattr(linalg, "int_echelon", counted_echelon)
+    monkeypatch.setattr(invariants, "certified_rank", partial(certified_rank, p=p))
+    for n, d in SMALL_SL2:
+        assert sl2_invariant_dimension(n, d) == _reference_sl2_nullity(n, d), (n, d)
+    assert fallbacks
 
 
 def test_degree_bounds_raised():

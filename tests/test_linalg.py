@@ -15,7 +15,9 @@ from oracles import (
     reference_solve,
 )
 from stabloci.linalg import (
+    RANK_PRIME,
     RatMatrix,
+    certified_rank,
     int_det,
     int_echelon,
     int_kernel,
@@ -116,6 +118,43 @@ def test_int_kernel_is_rref_kernel(matrix):
     sparse = _sparse(rows)
     assert int_kernel(sparse, ncols) == rref_kernel(RatMatrix(rows or [[0] * ncols]))
     assert len(int_echelon(sparse)) == matrix_rank(rows)
+
+
+@st.composite
+def rank_cases(draw):
+    """Small integer rows, tall, wide or rank-deficient (a product through
+    a narrower inner dimension), with entries that often vanish mod 2 or 3,
+    and the prime to take the rank at."""
+    shape = draw(st.sampled_from(("tall", "wide", "deficient")))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if shape == "tall":
+        nrows += ncols
+    elif shape == "wide":
+        ncols += nrows
+    entry = st.integers(-6, 6)
+
+    def matrix(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if shape == "deficient":
+        inner = draw(st.integers(0, min(nrows, ncols) - 1))
+        left, right = matrix(nrows, inner), matrix(inner, ncols)
+        rows = [[sum(a * right[k][j] for k, a in enumerate(r)) for j in range(ncols)] for r in left]
+    else:
+        rows = matrix(nrows, ncols)
+    return rows, ncols, draw(st.sampled_from((2, 3, RANK_PRIME)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+@example(([[2, 4], [6, 0]], 2, 2))  # zero mod 2: the whole rank comes from the fallback
+@example(([[1, 1], [1, -1]], 2, 2))  # rank 1 mod 2, rank 2 over the rationals
+@example(([[3, 1, 0], [0, 1, 3]], 3, 3))  # full row rank mod 3 certifies a wide rank
+@example(([[1], [2], [3]], 1, 2))  # full column rank mod 2 certifies a tall rank
+def test_certified_rank_is_the_exact_rank(case):
+    rows, ncols, p = case
+    sparse = _sparse(rows)
+    assert certified_rank(sparse, ncols, p=p) == len(int_echelon(sparse))
 
 
 @st.composite
