@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 IntEntries = list[tuple[int, int, int]]
-RANK_PRIME = 32749  # the largest prime below 2^15: products mod it stay one machine digit
+RANK_PRIME = 32749  # the largest prime below 2^15: a product of two residues fits one 30-bit int digit
 
 
 def vec(entries: Iterable) -> Vector:

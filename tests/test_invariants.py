@@ -26,13 +26,13 @@ from oracles import (
     reference_weight_counting_dimension,
     reference_weight_zero,
 )
+from stabloci import invariants, linalg
 from stabloci.actions import (
     ProjectivePoint,
     UnipotentData,
     jet_group_example,
     jordan_embed_ga,
 )
-from stabloci import invariants, linalg
 from stabloci.errors import DegreeBoundExceeded, DimensionMismatch
 from stabloci.invariants import (
     GradedInvariantSpace,
@@ -424,10 +424,8 @@ def _reference_sl2_nullity(n, d):
 def test_sl2_rank_path_is_the_kernel_dimension():
     """The CLI's certified rank gives the basis path's dimension."""
     for n, d in SMALL_SL2:
-        assert sl2_invariant_dimension(n, d) == sl2_invariants_binary_form(n, d).dim == _reference_sl2_nullity(n, d), (
-            n,
-            d,
-        )
+        expected = _reference_sl2_nullity(n, d)
+        assert sl2_invariant_dimension(n, d) == sl2_invariants_binary_form(n, d).dim == expected, (n, d)
 
 
 @pytest.mark.parametrize("p", [2, 3])
