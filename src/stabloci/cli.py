@@ -342,7 +342,7 @@ def cmd_invariants(args) -> dict:
             dims.append(
                 {
                     "degree": d,
-                    "dim": invariants.sl2_invariant_dimension(n, d, degree_cap=max(bound, 12)),
+                    "dim": invariants.sl2_invariant_dimension(n, d),
                     "oracle": invariants.sl2_weight_counting_dimension(n, d),
                 }
             )

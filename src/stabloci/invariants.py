@@ -41,16 +41,12 @@ of the nonvanishing test, taken at the point's primitive integer vector
 l x, l > 0.  A degree-d invariant is homogeneous, so c p(l x) =
 c l^d p(x), which is zero exactly when p(x) is.
 
-The CLI's SL(2) table builds no basis: `sl2_invariant_dimension` counts
-the weight-zero monomials minus the exact rank (`linalg.certified_rank`)
-of the kernel path's raising rows, kept in first-seen order, with the
-columns renumbered backwards; that order keeps the fill-in small, while
-reversing the monomial list, and so the rows too, is 3-10x slower.
-
 The SL(2) blocks are listed directly, by a recursion over the weights
 that never enters a branch without a weight-zero completion
 (`_monomials_of_weight`), not filtered out of all C(n + d, d) monomials
-of degree d.
+of degree d.  `sl2_invariant_dimension` takes the rank of the raising rows
+in first-seen order with the columns reversed; reversing the monomials
+reverses the rows too.
 
 All weight bookkeeping below uses the induced function weights, which
 are the negatives of the coordinate weights.
@@ -134,11 +130,9 @@ def _image_terms(entries: Entries, terms: dict[Exponent, Fraction | int]) -> dic
 def _derivation_rows(operators: Sequence[IntEntries], monos: Sequence[Exponent]) -> list[dict[int, int]]:
     """The matrix of derivations on a span of monomials, as sparse rows.
 
-    The derivations come as integer entry lists.  One sparse integer row
-    per operator and image monomial, in order of first appearance along
-    `monos`, holding the coefficients of that monomial in the images of
-    the span, written straight from the exponent tuples; a coefficient
-    that cancels leaves its row, so the rows go to elimination as built.
+    The derivations come as integer entry lists: one sparse integer row per
+    operator and image monomial, first seen first along `monos`, holding its
+    coefficients in the span's images; a cancelled coefficient leaves its row.
     """
     rows: dict[tuple[int, Exponent], dict[int, int]] = {}
     for c, mono in enumerate(monos):
@@ -246,12 +240,12 @@ def _monomials_of_weight(weights: Sequence[int], degree: int, target: int) -> li
     return out
 
 
-def _sl2_weight_zero(n: int, d: int, degree_cap: int) -> list[Exponent]:
+def _sl2_weight_zero(n: int, d: int) -> list[Exponent]:
     """The weight-zero monomials of degree d in the coefficients of a binary n-form."""
     if n < 1:
         raise DimensionMismatch("form degree must be >= 1")
-    if d < 0 or d > degree_cap:
-        raise DegreeBoundExceeded(f"degree {d} outside [0, {degree_cap}]")
+    if d < 0:
+        raise DegreeBoundExceeded(f"degree {d} is negative")
     return _monomials_of_weight(_coordinate_weights_sym(n), d, 0)
 
 
@@ -263,16 +257,17 @@ def sl2_invariants_binary_form(
     Kernel of the raising derivation on the torus weight-zero block,
     checked against the lowering derivation.
     """
+    if d > degree_cap:
+        raise DegreeBoundExceeded(f"degree {d} outside [0, {degree_cap}]")
     raising, lowering = sl2_entries(n)
-    block = {0: _sl2_weight_zero(n, d, degree_cap)}
+    block = {0: _sl2_weight_zero(n, d)}
     basis, weights = _block_basis(block, [raising], n + 1, lowering)
     return GradedInvariantSpace(degree=d, basis=basis, gm_weights=weights)
 
 
-def sl2_invariant_dimension(n: int, d: int, degree_cap: int = 12) -> int:
-    """The dimension of `sl2_invariants_binary_form(n, d)`, from a rank
-    in the column order set out in the module docstring."""
-    monos = _sl2_weight_zero(n, d, degree_cap)
+def sl2_invariant_dimension(n: int, d: int) -> int:
+    """`sl2_invariants_binary_form(n, d).dim` as a nullity, columns ordered as in the module docstring."""
+    monos = _sl2_weight_zero(n, d)
     last = len(monos) - 1
     rows = [{last - c: x for c, x in row.items()} for row in _derivation_rows([sl2_entries(n)[0]], monos)]
     return len(monos) - certified_rank(rows, len(monos))

@@ -24,9 +24,7 @@ invariant's primitive integer multiple, whose rank is the number of
 pivots.  When the echelon form has a pivot in every
 column the kernel is zero, and `int_kernel` returns it without the
 back-substitution; most graded blocks of an invariant ring end there.
-For the SL(2) dimension tables `certified_rank` takes the rank mod a
-prime p: rank_p <= rank <= min(rows, columns), so a rank mod p that
-reaches the bound is exact, and any other is taken again by `int_echelon`.
+`certified_rank` trusts a rank mod p only at min(rows, columns), as rank_p <= rank.
 The hull classifier and the closest-point table work on integer vectors
 (`primitive_int_vec`, `int_dot`) and take small integer determinants by
 Bareiss elimination (`int_det`).
@@ -250,9 +248,8 @@ def int_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
 
 
 def certified_rank(rows: list[dict[int, int]], ncols: int, p: int = RANK_PRIME) -> int:
-    """The exact rank of sparse integer rows: the rank mod the prime p when
-    it reaches min(len(rows), ncols), else `int_echelon`'s.  Pivots go by
-    leading column, as in `int_echelon`, so the column order sets the fill-in."""
+    """The exact rank of sparse integer rows: the rank mod the prime p when it reaches
+    min(len(rows), ncols), else `int_echelon`'s.  The column order sets the fill-in."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = {j: x % p for j, x in row.items() if x % p}
@@ -270,8 +267,7 @@ def certified_rank(rows: list[dict[int, int]], ncols: int, p: int = RANK_PRIME) 
                     row[j] = y
                 else:
                     del row[j]
-    rank = len(pivots)
-    return rank if rank == min(len(rows), ncols) else len(int_echelon(rows))
+    return len(pivots) if len(pivots) == min(len(rows), ncols) else len(int_echelon(rows))
 
 
 def _reduce(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
