@@ -238,7 +238,7 @@ def parse_point_entry(praw) -> tuple[str, list[Fraction]]:
 def parse_document(text: str) -> ActionDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the interpreter's digit limit
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise MalformedDocument("not valid JSON: nested too deeply") from exc

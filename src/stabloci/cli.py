@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -121,10 +122,10 @@ def _bound(value: int, default: int, flag: str) -> int:
 
 def _load_document(args) -> ActionDocument:
     path = Path(args.action)
-    if not path.exists():
-        raise ParseError(f"action document {path} does not exist")
     try:
         text = path.read_text()
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise ParseError(f"action document {path} does not exist") from exc
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read action document {path}: {exc}") from exc
     doc = parse_document(text)
@@ -152,7 +153,7 @@ def _load_graded_document(args) -> ActionDocument:
 def _parse_points(text: str, n: int) -> tuple[tuple[str, ProjectivePoint], ...]:
     path = Path(text)
     out = []
-    if path.exists():
+    if os.path.exists(text):  # False, not an OSError, on a name too long for a file: inline text
         try:
             raw = json.loads(path.read_text())
         except (OSError, ValueError, RecursionError) as exc:
@@ -361,7 +362,8 @@ def cmd_invariants(args) -> dict:
     if action.unipotent is None:
         raise PreconditionError("invariant tables need unipotent data (or use --sl2)")
     bound = _bound(args.max_degree, doc.bounds.max_degree, "--max-degree")
-    gm = action.grading.gm_weights if action.grading is not None else None
+    # Zero weights give one block, and the coordinate count when there are no generators.
+    gm = action.grading.gm_weights if action.grading is not None else (0,) * (action.n + 1)
     spaces = [
         invariants.unipotent_invariants(action.unipotent, d, gm_weights=gm, degree_cap=bound)
         for d in range(1, bound + 1)
@@ -397,11 +399,14 @@ def cmd_invariants(args) -> dict:
 
 def cmd_examples(args) -> dict:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, text in corpus.render_corpus():
-        (out_dir / name).write_text(text)
-        written.append(str(out_dir / name))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in corpus.render_corpus():
+            (out_dir / name).write_text(text)
+            written.append(str(out_dir / name))
+    except OSError as exc:
+        raise ParseError(f"cannot write the corpus to {out_dir}: {exc}") from exc
     return {"command": "examples", "written": written}
 
 

@@ -243,14 +243,13 @@ def _all_roots_rational(f: MultiPoly, roots: Sequence[Fraction]) -> bool:
     return len(roots) == len(coeffs) - 1 - poly_gcd_univariate([f, derivative]).total_degree()
 
 
-def _solve_vanishing(
-    conds: list[MultiPoly], num_vars: int, depth: int
-) -> tuple[str, Vector | None]:
+def _solve_vanishing(conds: list[MultiPoly], num_vars: int) -> tuple[str, Vector | None]:
     """Decide solvability of conds = 0 over the rationals where possible.
 
     Returns ("yes", witness), ("no", None) for exact decisions, or
     ("unknown", None) when neither elimination path applies.  A "yes"
     is always backed by an explicit rational witness; "no" is exact.
+    Each level fixes one variable at a root, so it recurses at most num_vars deep.
     """
     live = [c for c in conds if not c.is_zero()]
     if not live:
@@ -260,8 +259,6 @@ def _solve_vanishing(
     if all(c.total_degree() <= 1 for c in live):
         sol = _solve_affine_linear(live, num_vars)
         return ("yes", sol) if sol is not None else ("no", None)
-    if depth <= 0:
-        return "unknown", None
     decided_no = False
     for cond in sorted(live, key=lambda c: (c.total_degree(), len(c.terms))):
         used = cond.variables_used()
@@ -273,7 +270,7 @@ def _solve_vanishing(
         saw_unknown = False
         for root in roots:
             substituted = [c.substitute_constants({var: root}) for c in live]
-            outcome, witness = _solve_vanishing(substituted, num_vars, depth - 1)
+            outcome, witness = _solve_vanishing(substituted, num_vars)
             if outcome == "yes":
                 assert witness is not None
                 full = list(witness)
@@ -333,7 +330,7 @@ def _exists_common_vanishing(
             witness=f"gcd of coordinate polynomials has degree {degree}",
             witness_params=None if root is None else (root,),
         )
-    outcome, witness = _solve_vanishing(live, num_vars, depth=num_vars + 2)
+    outcome, witness = _solve_vanishing(live, num_vars)
     if outcome == "yes":
         return SweepCertificate(in_sweep=True, witness="rational witness", witness_params=witness)
     if outcome == "no":

@@ -8,9 +8,9 @@ multiple `integer_entries`.  There is no floating point in this package.
 
 Every elimination goes through one sparse, fraction-free core: rows
 are dicts of nonzero column -> int, `int_echelon` brings them to an integer
-echelon form (Bareiss 1968; Markowitz 1957), and `_reduce` turns that
-into the reduced echelon form, which is unique, so no reader depends on
-how a row was scaled.  The dense readers take each rational row's
+echelon form (Bareiss 1968; Markowitz 1957), `_reduce` into integer rows
+of the reduced echelon form, which is unique, and its readers divide by
+the leading entries.  The dense readers take each rational row's
 primitive integer multiple first.  `rref` serves, through `solve` and
 `row_space_basis`, the graded vanishing systems and the slice
 restriction of the invariant tables; `rref_kernel` the graded
@@ -177,7 +177,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     ncols = len(rows[0]) if rows else 0
     reduced = _reduce(int_echelon({j: x for j, x in enumerate(primitive_int_vec(r)) if x} for r in rows))
     pivots = sorted(reduced)
-    return [[reduced[c].get(j, Fraction(0)) for j in range(ncols)] for c in pivots], pivots
+    return [[Fraction(reduced[c].get(j, 0), reduced[c][c]) for j in range(ncols)] for c in pivots], pivots
 
 
 def rref_kernel(m: RatMatrix) -> list[Vector]:
@@ -270,14 +270,14 @@ def certified_rank(rows: list[dict[int, int]], ncols: int, p: int = RANK_PRIME) 
     return len(pivots) if len(pivots) == min(len(rows), ncols) else len(int_echelon(rows))
 
 
-def _reduce(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
-    """The reduced echelon form of an `int_echelon` result, keyed the same.
+def _reduce(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced echelon form of an `int_echelon` result, keyed the same,
+    as integer rows: each row over its leading entry is the reduced row.
 
     Back-substitution from the last leading column to the first: each
     pivot is cleared, fraction-free, in the leading columns of the pivots
-    after it, which are already zero in every other leading column; only
-    the final division by the leading entry makes Fractions.  The result
-    is unique, so every reader of it agrees with a dense Gauss-Jordan.
+    after it, which are already zero in every other leading column.  The
+    reduced form is unique, so every reader agrees with a dense Gauss-Jordan.
     """
     done: dict[int, dict[int, int]] = {}
     for lead in sorted(pivots, reverse=True):
@@ -285,9 +285,7 @@ def _reduce(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]
         for c in [c for c in row if c != lead and c in done]:
             row = _eliminate(row, done[c], c)
         done[lead] = row
-    return {
-        lead: {j: Fraction(x, row[lead]) for j, x in row.items()} for lead, row in done.items()
-    }
+    return done
 
 
 def int_kernel(rows: list[dict[int, int]], ncols: int) -> list[Vector]:
@@ -299,15 +297,15 @@ def int_kernel(rows: list[dict[int, int]], ncols: int) -> list[Vector]:
     return _kernel_basis(_reduce(pivots), ncols)
 
 
-def _kernel_basis(reduced: dict[int, dict[int, Fraction]], ncols: int) -> list[Vector]:
+def _kernel_basis(reduced: dict[int, dict[int, int]], ncols: int) -> list[Vector]:
     """Kernel of a reduced echelon form keyed by leading column: one vector
     per free column f, with f 1, the other free columns 0, and at each
-    leading column minus that row's entry in column f."""
+    leading column minus that row's entry in column f over its leading entry."""
     basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in reduced}
     for f, v in basis.items():
         v[f] = Fraction(1)
     for lead, row in reduced.items():
         for j, x in row.items():
             if j in basis:
-                basis[j][lead] = -x
+                basis[j][lead] = Fraction(-x, row[lead])
     return [tuple(v) for v in basis.values()]

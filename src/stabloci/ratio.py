@@ -22,6 +22,8 @@ def format_fraction(x: Fraction | int) -> str:
 def parse_fraction(text: str) -> Fraction:
     if not isinstance(text, str):
         raise MalformedDocument(f"expected a rational string, got {text!r}")
+    if "e" in text or "E" in text:  # Fraction's exponent notation, whose parse time grows with the exponent
+        raise MalformedDocument(f"bad rational literal {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -221,12 +221,6 @@ class StratumQuotientData:
     adapted_twist: Vector
     delta: Fraction
 
-    def admits_support(self, support: Sequence[int]) -> bool:
-        s = set(support)
-        if not s or s & set(self.below_indices):
-            return False
-        return bool(s & set(self.z_indices))
-
 
 def stratum_quotient_data(
     a: TorusWeights,

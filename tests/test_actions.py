@@ -43,6 +43,7 @@ from stabloci.errors import (
 )
 from stabloci.linalg import RatMatrix
 from stabloci.poly import MultiPoly
+from stabloci.ratio import parse_fraction
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -337,6 +338,12 @@ def test_parse_rejects_garbage():
         parse_document("not json at all {")
     with pytest.raises(MalformedDocument):
         parse_document(json.dumps({"n": 1}))
+
+
+@pytest.mark.parametrize("text", ["1e4300", "2E-3", "1.5e2"])
+def test_parse_fraction_rejects_exponent_literals(text):
+    with pytest.raises(MalformedDocument):
+        parse_fraction(text)
 
 
 def test_parse_rejects_deep_nesting():

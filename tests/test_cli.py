@@ -224,15 +224,19 @@ def test_malformed_points_file_is_a_parse_error(tmp_path, text):
     assert out.startswith("parse error: ")
 
 
-@pytest.mark.parametrize("kind", ["directory", "not_utf8", "deeply_nested"])
+@pytest.mark.parametrize(
+    "kind", ["directory", "not_utf8", "deeply_nested", "name_too_long", "past_the_digit_limit"]
+)
 def test_unreadable_action_document_is_a_parse_error(tmp_path, kind):
-    path = tmp_path / "action.json"
+    path = tmp_path / ("a" * 300 if kind == "name_too_long" else "action.json")
     if kind == "directory":
         path.mkdir()
     elif kind == "not_utf8":
         path.write_bytes(b"\xff\xfe{")
-    else:
+    elif kind == "deeply_nested":
         path.write_text("[" * 100000 + "]" * 100000)
+    elif kind == "past_the_digit_limit":
+        path.write_text('{"n": ' + "1" * 5000 + "}")
     code, out = run(["stability", "--action", str(path)])
     assert code == EXIT_PARSE
     assert out.startswith("parse error: ")
@@ -369,3 +373,44 @@ def test_invariant_tables_refuse_a_twist(chi):
     assert code == EXIT_PARSE
     assert out.startswith("parse error: ") and "--chi" in out
     assert run(argv)[0] == EXIT_OK
+
+
+def test_inline_panel_longer_than_a_file_name():
+    """A --points text too long to be a file name is read as inline points."""
+    panel = ";".join(f"p{i}:1,{i},1" for i in range(30))
+    assert len(panel) > 255
+    code, out = run(["stability", "--action", corpus_path("torus_line.json"), "--points", panel])
+    assert code == EXIT_OK
+    assert len(json.loads(out)["rows"]) == 6 + 30
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+def test_examples_out_over_a_file_is_a_parse_error(tmp_path, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, out = run(["examples", "--out", str(blocker / "corpus" if under else blocker)])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ")
+
+
+def test_exponent_twist_is_a_parse_error():
+    code, out = run(["stability", "--action", corpus_path("torus_line.json"), "--chi", "1e4300"])
+    assert code == EXIT_PARSE
+    assert out.startswith("parse error: ")
+
+
+def test_zero_generator_tables_agree_with_and_without_grading(tmp_path):
+    """With no generators every monomial is invariant, whether or not the
+    document carries a grading."""
+    raw = json.loads((CORPUS / "torus_line.json").read_text())
+    raw["unipotent"] = {"generators": [], "adjoint_weights": []}
+    outs = []
+    for grading in (None, {"gm_weights": [-1, 0, 2], "chi": "0"}):
+        raw["grading"] = grading
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(raw))
+        code, out = run(["invariants", "--action", str(path), "--max-degree", "3"])
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert [row["dim"] for row in json.loads(outs[0])["dimensions"]] == [3, 6, 10]

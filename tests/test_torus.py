@@ -159,15 +159,15 @@ def test_stratum_quotient_data_examples():
     idx = StratumIndex.from_beta(vec([1]))
     data = stratum_quotient_data(sym, ZERO1, idx)
     assert data.z_indices == (2,)
-    assert data.admits_support((2,))
-    assert not data.admits_support((0, 2))  # pairing -1 < |beta|^2 kills it
+    assert data.below_indices == (0, 1)  # pairings -1, 0 < |beta|^2 = 1
+    assert data.above_indices == ()
 
     right = TorusWeights(rank=1, weights=((1,), (2,)))
     idx1 = StratumIndex.from_beta(vec([1]))
     data1 = stratum_quotient_data(right, ZERO1, idx1)
     assert data1.z_indices == (0,)
-    assert data1.admits_support((0,)) and data1.admits_support((0, 1))
-    assert not data1.admits_support((1,))
+    assert data1.below_indices == ()
+    assert data1.above_indices == (1,)  # pairing 2 > |beta|^2 = 1
     # adapted twist sits strictly inside the next pairing gap
     assert Fraction(1) < data1.adapted_twist[0] < Fraction(2)
 
