@@ -7,7 +7,8 @@ identical jobs (including the seed); timings appear only in text mode.
 `json.dumps(payload, sort_keys=True, indent=2)`, in one pass.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 enumeration or degree bound exhausted.
+4 enumeration or degree bound exhausted, or a number to print past the
+interpreter's integer digit limit.
 """
 
 from __future__ import annotations
@@ -454,6 +455,11 @@ def run(argv: list[str]) -> tuple[int, str]:
     try:
         args = build_parser().parse_args(_attach_signed_values(argv))
         payload = _COMMANDS[args.command](args)
+        elapsed = time.perf_counter() - start
+        try:
+            output = _render_text(payload, elapsed) if args.format == "text" else dump_json(payload) + "\n"
+        except ValueError as exc:  # an integer with more digits than the interpreter converts
+            raise BoundExceeded(f"cannot print the report: {exc}") from exc
     except ParseError as exc:
         return EXIT_PARSE, f"parse error: {exc}\n"
     except PreconditionError as exc:
@@ -462,10 +468,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         return EXIT_BOUNDS, f"bound exhausted: {exc}\n"
     except StablociError as exc:
         return EXIT_PRECONDITION, f"error: {exc}\n"
-    elapsed = time.perf_counter() - start
-    if args.format == "text":
-        return EXIT_OK, _render_text(payload, elapsed)
-    return EXIT_OK, dump_json(payload) + "\n"
+    return EXIT_OK, output
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -47,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, factorial, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .actions import GradingData, ProjectivePoint, UnipotentData, WeightedAction
 from .errors import (
@@ -61,11 +61,10 @@ from .linalg import IntEntries, RatMatrix, Vector, int_kernel, primitive_int_vec
 from .poly import (
     Exponent,
     MultiPoly,
-    from_univariate_coeffs,
+    distinct_root_count,
     poly_gcd_univariate,
     rational_roots,
     univariate_coeffs,
-    univariate_derivative,
 )
 from .torus import StabilityVerdict, Status, torus_verdict
 
@@ -238,9 +237,7 @@ def _all_roots_rational(f: MultiPoly, roots: Sequence[Fraction]) -> bool:
 
     f has deg f - deg gcd(f, f') distinct roots over the algebraic closure.
     """
-    coeffs = univariate_coeffs(f)
-    derivative = from_univariate_coeffs(univariate_derivative(coeffs))
-    return len(roots) == len(coeffs) - 1 - poly_gcd_univariate([f, derivative]).total_degree()
+    return len(roots) == distinct_root_count(univariate_coeffs(f))
 
 
 def _solve_vanishing(conds: list[MultiPoly], num_vars: int) -> tuple[str, Vector | None]:
@@ -348,22 +345,24 @@ def _exists_common_vanishing(
 # -- sweeps --------------------------------------------------------------
 
 
-def _sweep_certificate(
-    u: UnipotentData | None, x: ProjectivePoint, target_indices: Sequence[int], seed: int
-) -> SweepCertificate:
-    """Can some group translate of x kill every coordinate in the target set?"""
-    targets = list(target_indices)
-    if not targets:
-        return SweepCertificate(in_sweep=True, witness="no coordinates constrained")
-    if u is None or u.dim == 0:
-        vanish = all(x.coords[i] == 0 for i in targets)
-        return SweepCertificate(
-            in_sweep=vanish,
-            witness="trivial group: point itself" if vanish else "trivial group: a constrained coordinate is nonzero",
-        )
-    coords = translate_coordinate_polys(u, x)
-    conds = [coords[i] for i in targets]
-    return _exists_common_vanishing(conds, u.dim, seed)
+def _sweep_certificates(
+    u: UnipotentData | None, x: ProjectivePoint, seed: int, *target_sets: Sequence[int]
+) -> Iterator[SweepCertificate]:
+    """For each target set: can some group translate of x kill every
+    coordinate in it?  The translate is built at most once."""
+    coords = None
+    for targets in target_sets:
+        if not targets:
+            yield SweepCertificate(in_sweep=True, witness="no coordinates constrained")
+        elif u is None or u.dim == 0:
+            vanish = all(x.coords[i] == 0 for i in targets)
+            yield SweepCertificate(
+                in_sweep=vanish,
+                witness="trivial group: point itself" if vanish else "trivial group: a constrained coordinate is nonzero",
+            )
+        else:
+            coords = coords or translate_coordinate_polys(u, x)
+            yield _exists_common_vanishing([coords[i] for i in targets], u.dim, seed)
 
 
 def u_sweep_membership(
@@ -376,7 +375,7 @@ def u_sweep_membership(
         )
     lowest = set(g.min_weight_indices())
     above = [i for i in range(len(g.gm_weights)) if i not in lowest]
-    return _sweep_certificate(u, x, above, seed)
+    return next(_sweep_certificates(u, x, seed, above))
 
 
 def _require_grading(action: WeightedAction) -> GradingData:
@@ -421,7 +420,7 @@ def hat_stable_minplus(
         )
     lowest = set(g.min_weight_indices())
     above = [i for i in range(len(g.gm_weights)) if i not in lowest]
-    cert = _sweep_certificate(action.unipotent, x, above, seed)
+    cert = next(_sweep_certificates(action.unipotent, x, seed, above))
     if cert.in_sweep:
         return StabilityVerdict(
             status=Status.UNSTABLE,
@@ -692,7 +691,7 @@ def _poly_det(m: list[list[MultiPoly]]) -> MultiPoly:
     if size == 1:
         return m[0][0]
     num_vars = m[0][0].num_vars
-    det = MultiPoly.zero(num_vars)
+    det = MultiPoly(num_vars)
     for j in range(size):
         if m[0][j].is_zero():
             continue
@@ -836,8 +835,7 @@ def q_hat_stable(action: WeightedAction, q: Fraction, m: int, x: ProjectivePoint
     tw = g.twisted_weights()
     low = [i for i, w in enumerate(tw) if w < q * m]
     high = [i for i, w in enumerate(tw) if w > q * m - m]
-    kill_low = _sweep_certificate(action.unipotent, x, low, seed)
-    kill_high = _sweep_certificate(action.unipotent, x, high, seed)
+    kill_low, kill_high = _sweep_certificates(action.unipotent, x, seed, low, high)
     heuristic = kill_low.heuristic or kill_high.heuristic
     if kill_low.in_sweep or kill_high.in_sweep:
         # a positive sweep always carries an exact certificate

@@ -380,8 +380,7 @@ def points_at_infinity_classifier(n: int, x: ProjectivePoint) -> InfinityReport:
         raise ZeroForm("the zero form has no root data")
     top = max(j for j, c in enumerate(x.coords) if c != 0)
     mult_inf = n - top
-    coeffs = [Fraction(c) for c in x.coords[: top + 1]]
-    finite_max = max_root_multiplicity(coeffs) if len(coeffs) > 1 else 0
+    finite_max = max_root_multiplicity(x.coords[: top + 1])
     return InfinityReport(
         multiplicity_at_infinity=mult_inf,
         max_multiplicity=max(mult_inf, finite_max),

@@ -5,18 +5,22 @@ coefficients; the zero polynomial has an empty map.  This keeps the
 high-degree but very sparse spaces showing up in invariant-ring
 computations cheap, and makes identity testing exact.
 
-Univariate helpers (coefficient lists, Euclidean gcd, rational roots,
-gcd chains for multiplicity detection) live here too: membership in a
-one-parameter orbit sweep reduces to "do these univariate polynomials
-have a common root over the algebraic closure", which is precisely
-"is their gcd nonconstant".
+Univariate helpers live here too: membership in a one-parameter orbit
+sweep reduces to "do these univariate polynomials have a common root
+over the algebraic closure", which is precisely "is their gcd
+nonconstant".  They take rational coefficient lists and work on their
+primitive integer multiples, which have the same roots: the gcd is a
+primitive remainder sequence, rational roots are lifted p-adically from
+the square-free part, and root multiplicities come from gcd chains.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
+
+from .ratio import format_fraction
 
 Exponent = tuple[int, ...]
 
@@ -38,26 +42,6 @@ class MultiPoly:
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", cleaned)
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero(num_vars: int) -> "MultiPoly":
-        return MultiPoly(num_vars, {})
-
-    @staticmethod
-    def const(num_vars: int, value) -> "MultiPoly":
-        return MultiPoly(num_vars, {(0,) * num_vars: Fraction(value)})
-
-    @staticmethod
-    def variable(num_vars: int, index: int) -> "MultiPoly":
-        exp = [0] * num_vars
-        exp[index] = 1
-        return MultiPoly(num_vars, {tuple(exp): Fraction(1)})
-
-    @staticmethod
-    def monomial(num_vars: int, exp: Exponent, coeff=1) -> "MultiPoly":
-        return MultiPoly(num_vars, {tuple(exp): Fraction(coeff)})
-
     # -- ring operations ----------------------------------------------
 
     def add(self, other: "MultiPoly") -> "MultiPoly":
@@ -71,10 +55,6 @@ class MultiPoly:
         for exp, c in other.terms.items():
             out[exp] = out.get(exp, Fraction(0)) - c
         return MultiPoly(self.num_vars, out)
-
-    def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly(self.num_vars, {e: c * v for e, v in self.terms.items()})
 
     def mul(self, other: "MultiPoly") -> "MultiPoly":
         out: dict[Exponent, Fraction] = {}
@@ -163,13 +143,13 @@ class MultiPoly:
         for exp, c in self.sorted_terms():
             factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exp) if e]
             if not factors:
-                parts.append(str(c))
+                parts.append(format_fraction(c))
             elif c == 1:
                 parts.append("*".join(factors))
             elif c == -1:
                 parts.append("-" + "*".join(factors))
             else:
-                parts.append(str(c) + "*" + "*".join(factors))
+                parts.append(format_fraction(c) + "*" + "*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -189,92 +169,106 @@ def univariate_coeffs(p: MultiPoly) -> list[Fraction]:
     return out
 
 
-def from_univariate_coeffs(coeffs: Sequence[Fraction]) -> MultiPoly:
-    return MultiPoly(1, {(i,): Fraction(c) for i, c in enumerate(coeffs) if c != 0})
+def _primitive(f: list[int]) -> list[int]:
+    """f over its content, with a positive leading coefficient."""
+    c = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return [x // c for x in f]
 
 
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
+    """The primitive integer multiple of a rational coefficient list; [] for zero."""
+    d = lcm(*(c.denominator for c in coeffs))
+    f = [c.numerator * (d // c.denominator) for c in coeffs]
+    while f and not f[-1]:
+        f.pop()
+    return _primitive(f) if f else []
 
 
-def _polydiv(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    inv = Fraction(1) / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        f = num[i + len(den) - 1] * inv
-        q[i] = f
-        if f != 0:
-            for j, d in enumerate(den):
-                num[i + j] -= f * d
-    return q, _trim(num)
+def _derivative(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
 
 
-def _gcd_coeffs(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
+def _residue(f: list[int], x: int, m: int) -> int:
+    """f(x) mod m, by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = (v * x + c) % m
+    return v
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of integer coefficient lists, [] when both are zero,
+    by the primitive remainder sequence (Collins 1967): each remainder is
+    a nonzero integer multiple of the Euclidean one, over its content."""
     while b:
-        _, r = _polydiv(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        r = a
+        while len(r) >= len(b):  # r <- (lc b / g) r - (lc r / g) x^k b, g their gcd
+            g = gcd(r[-1], b[-1])
+            s, t, k = b[-1] // g, r[-1] // g, len(r) - len(b)
+            r = [s * x for x in r]
+            for j, y in enumerate(b):
+                r[k + j] -= t * y
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _primitive(r) if r else []
+    return _primitive(a) if a else []
+
+
+def _square_free(coeffs: Sequence[Fraction]) -> list[int]:
+    """f / gcd(f, f') for a nonzero rational list f, divided exactly in
+    Z[x]: a primitive polynomial with each distinct root of f once."""
+    f = _int_coeffs(coeffs)
+    if not f:
+        raise ValueError("zero polynomial has every root")
+    h = _int_gcd(f, _derivative(f))
+    q = [0] * (len(f) - len(h) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c = f[i + len(h) - 1] // h[-1]
+        for j, y in enumerate(h):
+            f[i + j] -= c * y
+    return q
 
 
 def poly_gcd_univariate(ps: Iterable[MultiPoly]) -> MultiPoly:
     """Monic gcd; the gcd of no polynomials (or of zeros) is zero."""
-    acc: list[Fraction] = []
+    acc: list[int] = []
     for p in ps:
-        acc = _gcd_coeffs(acc, univariate_coeffs(p))
+        acc = _int_gcd(acc, _int_coeffs(univariate_coeffs(p)))
         if len(acc) == 1:  # reached 1: gcd cannot shrink further
             break
-    return from_univariate_coeffs(acc)
+    return MultiPoly(1, {(i,): Fraction(c, acc[-1]) for i, c in enumerate(acc) if c})
 
 
-def univariate_derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    return _trim([Fraction(i) * c for i, c in enumerate(coeffs)][1:])
+def distinct_root_count(coeffs: Sequence[Fraction]) -> int:
+    """deg f - deg gcd(f, f'), the number of distinct roots over the algebraic closure."""
+    return len(_square_free(coeffs)) - 1
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots (each listed once), by the rational-root test."""
-    coeffs = _trim(list(coeffs))
-    if not coeffs:
-        raise ValueError("zero polynomial has every root")
-    roots: list[Fraction] = []
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        shift = 1
-    if shift:
-        roots.append(Fraction(0))
-    if len(coeffs) <= 1:
-        return roots
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n: int) -> list[int]:
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
-                    roots.append(cand)
-    return sorted(roots)
+    """All rational roots, each listed once, in increasing order, by
+    p-adic lifting (Loos 1983).  For g the square-free part, of degree n
+    and leading coefficient a, the integer roots of the monic
+    G(y) = a^(n-1) g(y/a) are a times the rational roots of g, and
+    |y| <= 1 + max|G_i|.  Newton's step lifts each root of G mod p, for a
+    prime p not dividing a where all are simple, to the only root above
+    it mod p^k > 2 (1 + max|G_i|), whose symmetric residue is checked.
+    """
+    g = _square_free(coeffs)
+    n, a = len(g) - 1, g[-1]
+    big = [c * a ** (n - 1 - i) for i, c in enumerate(g[:-1])] + [1]
+    slope, p = _derivative(big), 1
+    while True:  # the odd primes in turn; finitely many divide a or the discriminant
+        p += 2
+        if a % p and all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            roots = [r for r in range(p) if not _residue(big, r, p)]
+            if all(_residue(slope, r, p) for r in roots):
+                break
+    m, bound = p, 2 * (1 + max(map(abs, big)))
+    while m <= bound:
+        m *= m
+        roots = [(r - _residue(big, r, m) * pow(_residue(slope, r, m), -1, m)) % m for r in roots]
+    ys = sorted(r - m if 2 * r > m else r for r in roots)
+    return [Fraction(y, a) for y in ys if not sum(c * y**i for i, c in enumerate(big))]
 
 
 def max_root_multiplicity(coeffs: Sequence[Fraction]) -> int:
@@ -284,11 +278,11 @@ def max_root_multiplicity(coeffs: Sequence[Fraction]) -> int:
     >= k exactly when its (k-1)-fold gcd-with-derivative chain is still
     nonconstant.
     """
-    g = _trim(list(coeffs))
+    g = _int_coeffs(coeffs)
     if not g:
         raise ValueError("zero polynomial")
     mult = 0
     while len(g) > 1:
         mult += 1
-        g = _gcd_coeffs(g, univariate_derivative(g))
+        g = _int_gcd(g, _derivative(g))
     return mult

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MalformedDocument
+from .errors import BoundExceeded, MalformedDocument
 
 
 def format_fraction(x: Fraction | int) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise BoundExceeded(f"cannot print a rational: {exc}") from exc
 
 
 def parse_fraction(text: str) -> Fraction:

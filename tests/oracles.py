@@ -28,6 +28,11 @@ derivatives, its dense matrix on the monomials of one degree, the
 kernel rows of a span of monomials read off those images, and root
 multiplicities by repeated synthetic division.
 
+The univariate references are the Fraction paths the library ran before
+its univariate core went integer: Euclid's algorithm with long division
+for the gcd and the gcd chains with the derivative, and rational roots
+by the rational-root test over trial-divided candidates.
+
 The invariant-table references are the paths the library ran before it
 went integer and listed only what it needs: monomials of a weight
 filtered out of every monomial of the degree, the SL(2) weight
@@ -55,10 +60,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 from stabloci.hull import HullPosition
 from stabloci.linalg import RatMatrix, dot, is_zero_vec, norm_sq, rref, zero_vec
-from stabloci.poly import MultiPoly, rational_roots
+from stabloci.poly import MultiPoly
 
 
 def vec_add(u, v):
@@ -341,7 +347,7 @@ def _exp_nilpotent_poly(n_matrix, var_index, num_vars):
     """Matrix of exp(s * N) with entries polynomial in variable `var_index`."""
     size = n_matrix.rows
     result = [
-        [MultiPoly.const(num_vars, 1) if i == j else MultiPoly.zero(num_vars) for j in range(size)]
+        [MultiPoly(num_vars, {(0,) * num_vars: 1} if i == j else None) for j in range(size)]
         for i in range(size)
     ]
     power = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
@@ -353,24 +359,23 @@ def _exp_nilpotent_poly(n_matrix, var_index, num_vars):
         factorial *= k
         exp = [0] * num_vars
         exp[var_index] = k
-        s_k = MultiPoly.monomial(num_vars, tuple(exp), Fraction(1, factorial))
         for i in range(size):
             for j in range(size):
                 c = power[i][j]
                 if c != 0:
-                    result[i][j] = result[i][j].add(s_k.scale(c))
+                    result[i][j] = result[i][j].add(MultiPoly(num_vars, {tuple(exp): c / factorial}))
     return result
 
 
 def reference_translate(u, x):
     """Coordinates of exp(s_1 N_1)...exp(s_u N_u) x, by polynomial matrix products."""
     dim = u.dim
-    coords = [MultiPoly.const(dim, c) for c in x.coords]
+    coords = [MultiPoly(dim, {(0,) * dim: c}) for c in x.coords]
     for j in range(dim - 1, -1, -1):
         matrix = _exp_nilpotent_poly(u.generators[j], j, dim)
         out = []
         for row in matrix:
-            acc = MultiPoly.zero(dim)
+            acc = MultiPoly(dim)
             for entry, c in zip(row, coords):
                 acc = acc.add(entry.mul(c))
             out.append(acc)
@@ -423,13 +428,9 @@ def reference_span_minors(gen):
     """The 2x2 minors (N x)_i x_k - (N x)_k x_i of (N x | x), one per
     coordinate pair i < k, as quadratic polynomials in the point x."""
     num_vars = gen.rows
-    xs = [MultiPoly.variable(num_vars, i) for i in range(num_vars)]
-    image = []
-    for row in gen.entries:
-        acc = MultiPoly.zero(num_vars)
-        for x, c in zip(xs, row):
-            acc = acc.add(x.scale(c))
-        image.append(acc)
+    units = [tuple(int(i == k) for i in range(num_vars)) for k in range(num_vars)]
+    xs = [MultiPoly(num_vars, {e: 1}) for e in units]
+    image = [MultiPoly(num_vars, dict(zip(units, row))) for row in gen.entries]
     return [image[i].mul(xs[k]).sub(image[k].mul(xs[i])) for i, k in combinations(range(num_vars), 2)]
 
 
@@ -452,11 +453,11 @@ def reference_partial(p, index):
 def reference_derivation(n_matrix, p):
     """sum_i D(x_i) * dp/dx_i with D(x_i) = -sum_j N[i][j] x_j."""
     num_vars = p.num_vars
-    out = MultiPoly.zero(num_vars)
+    out = MultiPoly(num_vars)
     for i, row in enumerate(n_matrix.entries):
-        image = MultiPoly.zero(num_vars)
+        image = MultiPoly(num_vars)
         for j, c in enumerate(row):
-            image = image.sub(MultiPoly.variable(num_vars, j).scale(c))
+            image = image.sub(MultiPoly(num_vars, {tuple(int(k == j) for k in range(num_vars)): c}))
         out = out.add(image.mul(reference_partial(p, i)))
     return out
 
@@ -465,7 +466,7 @@ def reference_derivation_on_degree(n_matrix, degree):
     """Dense matrix of the derivation on the degree-d monomials: column c
     holds the `reference_derivation` image of the c-th monomial."""
     monos = reference_monomials(n_matrix.rows, degree)
-    images = [reference_derivation(n_matrix, MultiPoly.monomial(n_matrix.rows, m)) for m in monos]
+    images = [reference_derivation(n_matrix, MultiPoly(n_matrix.rows, {m: 1})) for m in monos]
     return RatMatrix([[image.terms.get(e, Fraction(0)) for image in images] for e in monos])
 
 
@@ -475,16 +476,98 @@ def reference_derivation_rows(operators, monos):
     in the `reference_derivation` image of each monomial of the span."""
     rows = []
     for op in operators:
-        images = [reference_derivation(op, MultiPoly.monomial(op.rows, m)) for m in monos]
+        images = [reference_derivation(op, MultiPoly(op.rows, {m: 1})) for m in monos]
         for exp in sorted({e for image in images for e in image.terms}):
             rows.append([image.terms.get(exp, Fraction(0)) for image in images])
     return rows
 
 
+def _trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def reference_polydiv(num, den):
+    """Quotient and remainder of Fraction coefficient lists, by long division."""
+    num = list(num)
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    inv = Fraction(1) / den[-1]
+    for i in range(len(num) - len(den), -1, -1):
+        f = num[i + len(den) - 1] * inv
+        q[i] = f
+        if f != 0:
+            for j, d in enumerate(den):
+                num[i + j] -= f * d
+    return q, _trim(num)
+
+
+def reference_gcd_coeffs(a, b):
+    """Monic gcd of Fraction coefficient lists by Euclid's algorithm; [] for two zeros."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        _, r = reference_polydiv(a, b)
+        a, b = b, r
+    return [c / a[-1] for c in a] if a else a
+
+
+def reference_derivative(coeffs):
+    return _trim([Fraction(i) * c for i, c in enumerate(coeffs)][1:])
+
+
+def reference_distinct_root_count(coeffs):
+    """deg f - deg gcd(f, f'), by the Fraction Euclid."""
+    f = _trim(list(coeffs))
+    return len(f) - len(reference_gcd_coeffs(f, reference_derivative(f)))
+
+
+def reference_max_root_multiplicity(coeffs):
+    """The length of the chain f, gcd(f, f'), ... down to a constant."""
+    g, mult = _trim(list(coeffs)), 0
+    while len(g) > 1:
+        mult += 1
+        g = reference_gcd_coeffs(g, reference_derivative(g))
+    return mult
+
+
+def reference_rational_roots(coeffs):
+    """Distinct rational roots, sorted, by the rational-root test: every
+    p/q with p dividing the lowest nonzero coefficient and q the leading
+    one (both scaled to integers), found by trial division up to their
+    square roots, is evaluated."""
+    coeffs = _trim([Fraction(c) for c in coeffs])
+    roots = []
+    while coeffs and coeffs[0] == 0:
+        coeffs = coeffs[1:]
+        roots = [Fraction(0)]
+    if len(coeffs) <= 1:
+        return roots
+    denom = 1
+    for c in coeffs:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in coeffs]
+
+    def divisors(n):
+        out = set()
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                out.update((d, n // d))
+            d += 1
+        return sorted(out)
+
+    for p in divisors(abs(ints[0])):
+        for q in divisors(abs(ints[-1])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in roots and sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
 def rational_roots_with_multiplicity(coeffs):
     """Rational roots with multiplicities, by repeated synthetic division."""
     out = []
-    for root in rational_roots(coeffs):
+    for root in reference_rational_roots(coeffs):
         work = list(coeffs)
         while work and work[-1] == 0:
             work.pop()

@@ -102,13 +102,12 @@ def test_criterion_1_hull_oracle_equivalence():
 def _cubic_from_roots(inf_mult: int, finite_roots) -> ProjectivePoint:
     """Binary cubic with the fixed point as a root of the given multiplicity
     and the listed finite roots (with repetition)."""
-    s = MultiPoly.variable(2, 0)
-    t = MultiPoly.variable(2, 1)
-    form = MultiPoly.const(2, 1)
+    s = MultiPoly(2, {(1, 0): 1})
+    form = MultiPoly(2, {(0, 0): 1})
     for _ in range(inf_mult):
         form = form.mul(s)
     for alpha in finite_roots:
-        form = form.mul(s.scale(alpha).add(t))
+        form = form.mul(MultiPoly(2, {(1, 0): alpha, (0, 1): 1}))
     coords = [Fraction(0)] * 4
     for (es, et), c in form.terms.items():
         coords[et] = c

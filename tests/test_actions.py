@@ -58,10 +58,10 @@ def sym_power_matrix_oracle(k: int) -> RatMatrix:
     rows = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
     for j in range(k + 1):
         # (a e1 + e2)^j expanded: sum_i C(j,i) a^(j-i) e1^(j-i) e2^i
-        image = MultiPoly.zero(3)  # variables a, e1, e2
+        image = MultiPoly(3)  # variables a, e1, e2
         for i in range(j + 1):
             exp = (j - i, (k - j) + (j - i), i)
-            image = image.add(MultiPoly.monomial(3, exp, comb(j, i)))
+            image = image.add(MultiPoly(3, {exp: comb(j, i)}))
         for (a_deg, e1_deg, e2_deg), coeff in image.terms.items():
             if a_deg == 1:
                 target = e2_deg  # v_target = e1^(k-target) e2^target
@@ -135,11 +135,11 @@ def jet_composition_oracle(k: int, m: int) -> RatMatrix:
     rows = [[Fraction(0)] * k for _ in range(k)]
     for j in range(1, k + 1):
         # (t + a t^(m+1))^j mod t^(k+1), coefficient linear in a: j t^(j+m)
-        phi_j = MultiPoly.zero(2)  # variables a, t
+        phi_j = MultiPoly(2)  # variables a, t
         for i in range(j + 1):
             t_deg = j + i * m
             if t_deg <= k:
-                phi_j = phi_j.add(MultiPoly.monomial(2, (i, t_deg), comb(j, i)))
+                phi_j = phi_j.add(MultiPoly(2, {(i, t_deg): comb(j, i)}))
         for (a_deg, t_deg), coeff in phi_j.terms.items():
             if a_deg == 1:
                 rows[t_deg - 1][j - 1] = coeff

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, deterministic bytes, golden corpus."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -397,6 +398,34 @@ def test_exponent_twist_is_a_parse_error():
     code, out = run(["stability", "--action", corpus_path("torus_line.json"), "--chi", "1e4300"])
     assert code == EXIT_PARSE
     assert out.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strata", "--action", corpus_path("torus_line.json"), "--chi", "1/" + "7" * 4300],
+        ["hatstable", "--action", corpus_path("jordan_1.json"), "--chi", "0", "--q", "1/" + "7" * 4300],
+    ],
+    ids=["strata_rational", "hatstable_m"],
+)
+def test_printed_number_past_the_digit_limit_is_a_bound(argv, fmt):
+    """The inputs parse, but a value in the report has more digits than
+    the interpreter converts to text."""
+    code, out = run(argv + ["--format", fmt])
+    assert code == EXIT_BOUNDS
+    assert out.startswith("bound exhausted: ")
+
+
+@pytest.mark.parametrize("argv", [["graded"], ["hatstable", "--q", "1/2"]], ids=["graded", "hatstable"])
+def test_point_with_a_large_coordinate_finishes(argv):
+    """Rational roots of polynomials with 18-digit coefficients come from
+    p-adic lifting, with no search over divisors."""
+    start = time.perf_counter()
+    code, out = run(argv + ["--action", corpus_path("jordan_1.json"), "--chi", "0", "--points", "big:100000000000000003,1"])
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"][-1]["point"] == "big"
 
 
 def test_zero_generator_tables_agree_with_and_without_grading(tmp_path):

@@ -38,6 +38,7 @@ from stabloci.errors import (
     TrivialAction,
     UnsupportedUnipotentDimension,
 )
+from stabloci import graded
 from stabloci.graded import (
     ConditionVerdict,
     _all_roots_rational,
@@ -57,7 +58,7 @@ from stabloci.graded import (
     u_sweep_membership,
 )
 from stabloci.linalg import RatMatrix
-from stabloci.poly import from_univariate_coeffs, rational_roots, univariate_coeffs
+from stabloci.poly import MultiPoly, rational_roots, univariate_coeffs
 from stabloci.torus import Status, torus_verdict
 
 
@@ -315,12 +316,12 @@ _irreducible_quadratic = st.one_of(
     st.sampled_from([Fraction(1), Fraction(-3), Fraction(2, 5)]),
 )
 def test_all_roots_rational_matches_multiplicity_sum(linear, quadratics, lead):
-    f = from_univariate_coeffs([lead])
+    f = MultiPoly(1, {(0,): lead})
     for root, mult in linear:
         for _ in range(mult):
-            f = f.mul(from_univariate_coeffs([-root, Fraction(1)]))
+            f = f.mul(MultiPoly(1, {(0,): -root, (1,): 1}))
     for q in quadratics:
-        f = f.mul(from_univariate_coeffs(list(q)))
+        f = f.mul(MultiPoly(1, {(i,): c for i, c in enumerate(q)}))
     assume(f.total_degree() >= 1)
     coeffs = univariate_coeffs(f)
     by_multiplicity = sum(m for _, m in rational_roots_with_multiplicity(coeffs)) == len(coeffs) - 1
@@ -685,6 +686,21 @@ def test_q_hat_verdict_stable_under_m_increase():
         for x in [point(1, 1, 1), point(1, 0, 0)]:
             statuses = {q_hat_stable(TRIVIAL_TORUS, q, m, x).status for m in (m0, m0 + 1, m0 + 5)}
             assert len(statuses) == 1
+
+
+def test_q_hat_builds_one_translate_per_point(monkeypatch):
+    """Both line thresholds read the same translate of the point."""
+    calls = []
+
+    def counted(u, x):
+        calls.append(x)
+        return translate_coordinate_polys(u, x)
+
+    monkeypatch.setattr(graded, "translate_coordinate_polys", counted)
+    q = Fraction(1, 2)
+    for x in (point(0, -1, 0, 1), point(1, 1, 1, 1)):
+        q_hat_stable(CUBICS_ADAPTED, q, m_lower_bound(CUBICS_ADAPTED, q), x)
+    assert calls == [point(0, -1, 0, 1), point(1, 1, 1, 1)]
 
 
 def test_q_hat_trivial_grading_with_nonzero_common_weight():

@@ -1,12 +1,20 @@
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_partial
+from oracles import (
+    reference_distinct_root_count,
+    reference_gcd_coeffs,
+    reference_max_root_multiplicity,
+    reference_partial,
+    reference_polydiv,
+    reference_rational_roots,
+)
 from stabloci.poly import (
     MultiPoly,
-    from_univariate_coeffs,
+    distinct_root_count,
     max_root_multiplicity,
     poly_gcd_univariate,
     rational_roots,
@@ -15,7 +23,7 @@ from stabloci.poly import (
 
 
 def u(*coeffs):
-    return from_univariate_coeffs([Fraction(c) for c in coeffs])
+    return MultiPoly(1, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
 
 
 def test_gcd_shared_factor():
@@ -75,8 +83,7 @@ small_polys = st.lists(
 
 @given(small_polys, small_polys)
 def test_poly_ring_laws(a_coeffs, b_coeffs):
-    a = from_univariate_coeffs(a_coeffs)
-    b = from_univariate_coeffs(b_coeffs)
+    a, b = u(*a_coeffs), u(*b_coeffs)
     assert a.add(b) == b.add(a)
     assert a.mul(b) == b.mul(a)
     assert a.sub(a).is_zero()
@@ -84,16 +91,68 @@ def test_poly_ring_laws(a_coeffs, b_coeffs):
 
 @given(small_polys, small_polys)
 def test_gcd_divides_both(a_coeffs, b_coeffs):
-    a = from_univariate_coeffs(a_coeffs)
-    b = from_univariate_coeffs(b_coeffs)
+    a, b = u(*a_coeffs), u(*b_coeffs)
     g = poly_gcd_univariate([a, b])
     if g.is_zero():
         assert a.is_zero() and b.is_zero()
         return
     for p in (a, b):
-        num = univariate_coeffs(p)
-        den = univariate_coeffs(g)
-        from stabloci.poly import _polydiv
-
-        _, rem = _polydiv(num, den)
+        _, rem = reference_polydiv(univariate_coeffs(p), univariate_coeffs(g))
         assert rem == []
+
+
+def product(*factors):
+    out = u(1)
+    for f in factors:
+        out = out.mul(u(*f))
+    return out
+
+
+# products of small linear and irreducible quadratic factors, so that
+# gcds, repeated and irrational roots all occur and the trial-division
+# oracle stays fast
+small_factor = st.one_of(
+    st.tuples(st.integers(-3, 3), st.integers(1, 3)),
+    st.sampled_from([(1, 0, 1), (-2, 0, 1), (1, 1, 1), (3, -1, 2)]),
+)
+small_factors = st.lists(small_factor, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_factors, small_factors, small_factors)
+def test_gcd_matches_the_fraction_euclid(common, a_rest, b_rest):
+    a, b = product(*common, *a_rest), product(*common, *b_rest)
+    expected = reference_gcd_coeffs(univariate_coeffs(a), univariate_coeffs(b))
+    assert univariate_coeffs(poly_gcd_univariate([a, b])) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_factors, st.lists(small_factor, max_size=2))
+def test_roots_and_multiplicities_match_the_references(once, twice):
+    coeffs = univariate_coeffs(product(*once, *twice, *twice))
+    assert rational_roots(coeffs) == reference_rational_roots(coeffs)
+    assert distinct_root_count(coeffs) == reference_distinct_root_count(coeffs)
+    assert max_root_multiplicity(coeffs) == reference_max_root_multiplicity(coeffs)
+
+
+BIG = 10**17 + 3
+
+
+@pytest.mark.parametrize(
+    "factors,count,multiplicity",
+    [
+        ([(-BIG, 3), (1, 0, 1)], 3, 1),  # (3x - 10^17 - 3)(x^2 + 1)
+        ([(-1, BIG)], 1, 1),
+        ([(-BIG, 1), (-BIG, 1), (2, -BIG**2)], 2, 2),
+        ([(0, 1), (BIG, -7), (-2, 0, 1), (-2, 0, 1)], 4, 2),
+    ],
+)
+def test_large_coefficient_roots_verify_exactly(factors, count, multiplicity):
+    f = product(*factors)
+    coeffs = univariate_coeffs(f)
+    roots = rational_roots(coeffs)
+    linear = sorted(Fraction(-a, b) for a, b, *rest in factors if not rest)
+    assert roots == sorted(set(linear))
+    assert all(f.evaluate([r]) == 0 for r in roots)
+    assert distinct_root_count(coeffs) == count
+    assert max_root_multiplicity(coeffs) == multiplicity
